@@ -1,157 +1,79 @@
-"""Bitmask enumeration kernels behind the brute-force counters.
+"""Meet-in-the-middle subset kernel behind the brute-force oracle.
 
-A subset of vertices is encoded as an int64 mask; independence means no
-member is looped and no member's adjacency mask intersects the subset.
-The full 2^order scan is the hot loop of the oracle, so it is compiled
-with numba. A pure-numpy chunked scan provides the fallback path.
+A subset of vertices is a bitmask; it is independent when it holds no
+looped vertex and no two adjacent ones. Instead of testing all 2^order
+subsets, the vertices are split into a low half A and a high half B
+(Horowitz and Sahni's split). Every independent set is T | U with T an
+independent subset of A and U an independent subset of B \\ N(T), so a
+table over the subsets of B, summed over sub-subsets (Yates' zeta
+transform, the "subset sum" of Bjorklund, Husfeldt, Kaski and Koivisto),
+answers each T with one lookup. The work is about 2^(order/2) table rows
+instead of 2^order subset tests.
 
-Backend selection: numba when importable, unless the environment variable
-CHAINSAW_PURE_NUMPY is set to a non-empty value other than "0". Either
-backend can also be forced per call, which is how the benchmark compares
-them. Results are identical; masks are capped at 48 bits well before
-int64 arithmetic could overflow.
+Counts are int64: an order is capped at 48 bits, so no count reaches 2^63.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY_ENV = "CHAINSAW_PURE_NUMPY"
 _MASK_BIT_LIMIT = 48
-_CHUNK_BITS = 20
-
-
-def _numpy_forced() -> bool:
-    return os.environ.get(PURE_NUMPY_ENV, "").strip() not in ("", "0")
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("jit", "numpy") if _HAVE_NUMBA else ("numpy",)
 
 
 def active_backend() -> str:
-    """Backend used when none is requested explicitly."""
-    if _HAVE_NUMBA and not _numpy_forced():
-        return "jit"
+    """Name of the kernel implementation, for run records."""
     return "numpy"
 
 
-def _count_py(adj, loop_mask, n):
-    total = 0
-    for s in range(1 << n):
-        if s & loop_mask:
-            continue
-        indep = True
-        for v in range(n):
-            if (s >> v) & 1 and (adj[v] & s) != 0:
-                indep = False
-                break
-        if indep:
-            total += 1
-    return total
+def _half_tables(adj, loop_mask: int, chain_mask: int, lo: int, hi: int):
+    """Tables over the subsets S of vertices lo..hi-1, indexed by S >> lo.
+
+    Returns whether S is independent, how many chain vertices it holds and
+    the union of its members' neighbourhoods (a mask over all vertices).
+    The last two are built one vertex at a time, each vertex doubling the
+    table: the new upper half is the old one with that vertex added. S is
+    independent when no member is looped or a neighbour of another member.
+    """
+    size = 1 << (hi - lo)
+    chains = np.zeros(size, dtype=np.int64)
+    nbrs = np.zeros(size, dtype=np.int64)
+    for v in range(lo, hi):
+        half = 1 << (v - lo)
+        np.add(chains[:half], (chain_mask >> v) & 1, out=chains[half : 2 * half])
+        np.bitwise_or(nbrs[:half], adj[v], out=nbrs[half : 2 * half])
+    members = np.arange(size, dtype=np.int64) << lo
+    indep = ((members & loop_mask) == 0) & ((members & nbrs) == 0)
+    return indep, chains, nbrs
 
 
-def _strata_py(adj, loop_mask, chain_mask, n):
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for s in range(1 << n):
-        if s & loop_mask:
-            continue
-        indep = True
-        for v in range(n):
-            if (s >> v) & 1 and (adj[v] & s) != 0:
-                indep = False
-                break
-        if indep:
-            t = 0
-            r = s & chain_mask
-            while r:
-                r &= r - 1
-                t += 1
-            counts[t] += 1
-    return counts
+def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int) -> list[int]:
+    """Independent-set counts split by how many chain-mask bits each set uses.
 
-
-if _HAVE_NUMBA:
-    _count_jit = njit(cache=True)(_count_py)
-    _strata_jit = njit(cache=True)(_strata_py)
-
-
-def _independent_chunk(masks: np.ndarray, adj: np.ndarray, loop_mask: int, n: int) -> np.ndarray:
-    """Boolean mask of independent subsets within one chunk of subset masks."""
-    viol = (masks & loop_mask) != 0
-    for v in range(n):
-        viol |= (((masks >> v) & 1) != 0) & ((masks & adj[v]) != 0)
-    return ~viol
-
-
-def _count_numpy(adj: np.ndarray, loop_mask: int, n: int) -> int:
-    total = 0
-    limit = 1 << n
-    step = 1 << min(n, _CHUNK_BITS)
-    for lo in range(0, limit, step):
-        masks = np.arange(lo, min(lo + step, limit), dtype=np.int64)
-        total += int(_independent_chunk(masks, adj, loop_mask, n).sum())
-    return total
-
-
-def _strata_numpy(adj: np.ndarray, loop_mask: int, chain_mask: int, n: int) -> np.ndarray:
-    counts = np.zeros(n + 1, dtype=np.int64)
-    limit = 1 << n
-    step = 1 << min(n, _CHUNK_BITS)
-    chain = [v for v in range(n) if (chain_mask >> v) & 1]
-    for lo in range(0, limit, step):
-        masks = np.arange(lo, min(lo + step, limit), dtype=np.int64)
-        good = masks[_independent_chunk(masks, adj, loop_mask, n)]
-        t = np.zeros(good.shape, dtype=np.int64)
-        for v in chain:
-            t += (good >> v) & 1
-        counts += np.bincount(t, minlength=n + 1)
-    return counts
-
-
-def _resolve(backend: str | None) -> str:
-    if backend is None:
-        return active_backend()
-    if backend not in ("jit", "numpy"):
-        raise ValueError(f"unknown kernel backend {backend!r}; expected 'jit' or 'numpy'")
-    if backend == "jit" and not _HAVE_NUMBA:
-        raise RuntimeError("jit backend requested but numba is not importable")
-    return backend
-
-
-def _prepare(adj_masks, order):
+    adj_masks[v] is the neighbour mask of vertex v: symmetric, without v
+    itself (self-loops go in loop_mask). Entry t of the result (length
+    order + 1) counts the independent sets holding exactly t chain-mask
+    vertices; the empty set is in entry 0.
+    """
     if order > _MASK_BIT_LIMIT:
         raise ValueError(f"mask kernels support at most {_MASK_BIT_LIMIT} vertices, got {order}")
-    return np.asarray(list(adj_masks), dtype=np.int64).reshape(order)
+    adj = [int(m) for m in adj_masks]
+    if len(adj) != order:
+        raise ValueError(f"expected {order} adjacency masks, got {len(adj)}")
+    split = (order + 1) // 2
+    width = order - split
+    indep_a, chains_a, nbrs_a = _half_tables(adj, loop_mask, chain_mask, 0, split)
+    indep_b, chains_b, _ = _half_tables(adj, loop_mask, chain_mask, split, order)
 
+    # table[S, k]: independent U within S (S a subset of B) with k chain vertices
+    columns = int(chains_b.max()) + 1
+    table = np.zeros((1 << width, columns), dtype=np.int64)
+    table[np.arange(1 << width), chains_b] = indep_b
+    for i in range(width):
+        view = table.reshape(-1, 2, 1 << i, columns)
+        view[:, 1] += view[:, 0]
 
-def count_independent(adj_masks, loop_mask: int, order: int, backend: str | None = None) -> int:
-    """Number of independent sets, by full subset enumeration."""
-    which = _resolve(backend)
-    adj = _prepare(adj_masks, order)
-    if which == "jit":
-        return int(_count_jit(adj, loop_mask, order))
-    return _count_numpy(adj, loop_mask, order)
-
-
-def strata_by_chain_count(
-    adj_masks, loop_mask: int, chain_mask: int, order: int, backend: str | None = None
-) -> list[int]:
-    """Independent-set counts split by how many chain-mask bits each set uses."""
-    which = _resolve(backend)
-    adj = _prepare(adj_masks, order)
-    if which == "jit":
-        counts = _strata_jit(adj, loop_mask, chain_mask, order)
-    else:
-        counts = _strata_numpy(adj, loop_mask, chain_mask, order)
-    return [int(c) for c in counts]
+    # each independent T in A adds the row of B \ N(T), shifted by T's chain count
+    room = ~(nbrs_a[indep_a] >> split) & ((1 << width) - 1)
+    counts = np.zeros(order + 1, dtype=np.int64)
+    np.add.at(counts, chains_a[indep_a, None] + np.arange(columns), table[room])
+    return counts.tolist()

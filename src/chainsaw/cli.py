@@ -13,7 +13,6 @@ import json
 import sys
 import time
 
-from . import _kernels
 from .counting import (
     ComputationAbandoned,
     OracleCapExceeded,
@@ -40,7 +39,7 @@ from .verify import InjectedGraph, run_verification
 
 GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
 COUNT_METHODS = ("brute", "eliminate", "closed-form")
-BENCH_GRAPH_METHODS = ("brute", "brute-jit", "brute-numpy", "eliminate", "closed-form")
+BENCH_GRAPH_METHODS = ("brute", "eliminate", "closed-form")
 
 
 def _build_graph(family: str, n: int, a: int | None, b: int | None) -> Graph:
@@ -131,19 +130,12 @@ def _timed(fn):
 
 
 def _bench_graph(args) -> tuple[dict, bool]:
-    engines = {
-        "brute": lambda g: count_brute_force(g),
-        "brute-jit": lambda g: count_brute_force(g, backend="jit"),
-        "brute-numpy": lambda g: count_brute_force(g, backend="numpy"),
-        "eliminate": count_via_elimination,
-    }
+    engines = {"brute": count_brute_force, "eliminate": count_via_elimination}
     # Every method is checked before any is timed, so a bad request never
     # leaves a half-run bench behind.
     for m in args.methods:
         if m not in BENCH_GRAPH_METHODS:
             raise ValueError(f"unknown bench method {m!r}; expected one of {BENCH_GRAPH_METHODS}")
-        if m == "brute-jit" and "jit" not in _kernels.available_backends():
-            raise ValueError("bench method 'brute-jit' needs numba, which is not importable")
     graph = None
     if any(m != "closed-form" for m in args.methods):
         graph = _build_graph(args.family, args.n, args.a, args.b)
@@ -252,12 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # Sequence values at large indices run to hundreds of thousands of
-    # digits; lift the interpreter's int-to-str guard so they print.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # digits; lift the interpreter's int-to-str guard so they print, and
+    # give the caller's value back afterwards (0 means it has no guard).
+    old_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old_digits:
+        sys.set_int_max_str_digits(max(old_digits, 2_000_000))
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (OracleCapExceeded, ComputationAbandoned) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -265,6 +258,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if old_digits:
+            sys.set_int_max_str_digits(old_digits)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Three mutually independent routes, cross-checked by the verification sweep:
 
-* ``count_brute_force`` / ``brute_force_strata``: full enumeration of all
-  2^order vertex subsets through the mask kernels. This is the oracle; it
-  refuses graphs above a configurable vertex cap.
+* ``count_brute_force`` / ``brute_force_strata``: every independent set
+  counted from the definition by the meet-in-the-middle mask kernel
+  (two half-size subset tables joined by a subset-sum transform). This is
+  the oracle; it refuses graphs above a configurable vertex cap.
 * ``independence_polynomial`` / ``count_via_elimination``: the branching
   identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
   up front, multiplication across connected components, and memoization
@@ -64,23 +65,19 @@ def _check_cap(g: Graph, cap: int | None) -> None:
         )
 
 
-def count_brute_force(g: Graph, *, cap: int | None = None, backend: str | None = None) -> int:
-    """i(G) by enumerating every vertex subset. The empty set always counts."""
+def count_brute_force(g: Graph, *, cap: int | None = None) -> int:
+    """i(G) from the definition, by the oracle kernel. The empty set always counts."""
     _check_cap(g, cap)
     loop_mask = sum(1 << v for v in g.loops)
-    return _kernels.count_independent(_adjacency_masks(g), loop_mask, g.order, backend)
+    return sum(_kernels.strata_by_chain_count(_adjacency_masks(g), loop_mask, 0, g.order))
 
 
-def brute_force_strata(
-    g: Graph, *, cap: int | None = None, backend: str | None = None
-) -> dict[int, int]:
+def brute_force_strata(g: Graph, *, cap: int | None = None) -> dict[int, int]:
     """Independent sets keyed by how many chain-role vertices they contain."""
     _check_cap(g, cap)
     loop_mask = sum(1 << v for v in g.loops)
     chain_mask = sum(1 << v for v in g.chain_vertices())
-    counts = _kernels.strata_by_chain_count(
-        _adjacency_masks(g), loop_mask, chain_mask, g.order, backend
-    )
+    counts = _kernels.strata_by_chain_count(_adjacency_masks(g), loop_mask, chain_mask, g.order)
     return {t: c for t, c in enumerate(counts) if c}
 
 
@@ -155,8 +152,6 @@ def independence_polynomial(
             live |= 1 << v
     memo: dict[int, tuple[int, ...]] = {}
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.order + 200))
-
     def poly(mask: int) -> tuple[int, ...]:
         if mask == 0:
             return (1,)
@@ -185,10 +180,14 @@ def independence_polynomial(
         memo[mask] = result
         return result
 
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * g.order + 200))
     try:
         return list(poly(live))
     except RecursionError as exc:
         raise ComputationAbandoned("elimination abandoned: recursion too deep") from exc
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def count_via_elimination(

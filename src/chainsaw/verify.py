@@ -109,7 +109,7 @@ def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_cap
     report.add(f"{label}: closed form == {lucas_name}", tag, closed, lucas)
     report.add(f"{label}: {lucas_name} == {dickson_name} summation", tag, lucas, dickson)
     if graph.order <= brute_cap:
-        brute = brute_force_strata(graph)
+        brute = brute_force_strata(graph, cap=brute_cap)
         closed_strata = stratified_closed_form(params, family)
         report.add(
             f"{family} strata: brute force == closed form",

@@ -3,8 +3,9 @@
 Eight criteria, each printing one ACCEPTANCE line directly to the terminal
 so a log scan shows the verdicts at a glance; the assertions underneath
 carry the diagnostics. Time budgets are asserted with perf_counter around
-the computation only; the jit warm-up fixture keeps compilation out of the
-timed sections.
+the computation only; the warm-up fixture keeps one-time set-up out of the
+timed sections. Criteria 2 and 3 confirm the whole 8x4 sweep with the
+brute-force oracle, up to order 35, above the default cap of 26.
 """
 
 import json
@@ -42,7 +43,7 @@ def announce(capsys, number, ok):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first kernel call triggers jit compilation; do it before any timing
+    # the first kernel calls pay one-time import and allocation costs; pay them before any timing
     g = make_cycle(4)
     count_brute_force(g)
     brute_force_strata(g)
@@ -77,7 +78,7 @@ def test_criterion_2_family_counts_match_lucas(capsys):
                 for family, graph, want in cases:
                     if count_via_elimination(graph) != want:
                         failures.append((family, "eliminate", n, a, b))
-                    if graph.order <= 24 and count_brute_force(graph) != want:
+                    if count_brute_force(graph, cap=35) != want:
                         failures.append((family, "brute", n, a, b))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
@@ -96,9 +97,7 @@ def test_criterion_3_strata_match_closed_form(capsys):
                     ("chainsaw", make_chainsaw(params)),
                     ("broken", make_broken_chainsaw(params)),
                 ):
-                    if graph.order > 24:
-                        continue
-                    if brute_force_strata(graph) != stratified_closed_form(params, family):
+                    if brute_force_strata(graph, cap=35) != stratified_closed_form(params, family):
                         failures.append((family, n, a, b))
     ok = not failures
     announce(capsys, 3, ok)

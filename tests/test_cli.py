@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from chainsaw import _kernels
 from chainsaw.cli import main
+from chainsaw.counting import family_graph
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw
 
 
@@ -161,6 +161,19 @@ class TestVerify:
             assert isinstance(check["left"], str)
             assert isinstance(check["right"], str)
 
+    def test_brute_cap_above_the_default_oracle_cap(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--n-max", "7", "--a-max", "4", "--brute-cap", "28")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["summary"]["all_pass"] is True
+        orders = set()
+        for c in report["checks"]:
+            family, _, identity = c["identity"].partition(" ")
+            if identity == "strata: brute force == closed form":
+                orders.add(family_graph(ChainsawParams(**c["params"]), family).order)
+        assert {27, 28} <= orders
+        assert max(orders) == 28
+
     def test_injection_flags_must_come_together(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--n-max", "1", "--a-max", "1", "--inject-n", "4")
         assert rc == 2
@@ -221,7 +234,7 @@ class TestVerify:
 
 class TestBench:
     def test_graph_bench_compares_engines(self, capsys):
-        methods = ["brute", *(f"brute-{b}" for b in _kernels.available_backends()), "eliminate", "closed-form"]
+        methods = ["brute", "eliminate", "closed-form"]
         rc, out, _ = run_cli(capsys, "bench", "--family", "cycle", "--n", "12", "--methods", *methods)
         assert rc == 0
         report = json.loads(out)
@@ -247,14 +260,14 @@ class TestBench:
         assert rc == 2
         assert "--kind" in err
 
-    def test_jit_method_without_numba_exits_2_before_timing_anything(self, capsys, monkeypatch):
-        monkeypatch.setattr(_kernels, "_HAVE_NUMBA", False)
+    @pytest.mark.parametrize("method", ["brute-jit", "brute-numpy"])
+    def test_backend_methods_are_unknown_and_exit_2_before_timing_anything(self, capsys, method):
         rc, out, err = run_cli(
-            capsys, "bench", "--family", "cycle", "--n", "8", "--methods", "eliminate", "brute-jit",
+            capsys, "bench", "--family", "cycle", "--n", "8", "--methods", "eliminate", method,
         )
         assert rc == 2
         assert out == ""
-        assert "numba" in err
+        assert f"unknown bench method {method!r}" in err
 
     def test_unknown_method_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "bench", "--family", "cycle", "--n", "8", "--methods", "quantum")
@@ -279,6 +292,27 @@ class TestDeterminism:
         second = run_cli(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+class TestInterpreterState:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["count", "--family", "cycle", "--n", "5"], 0),
+            # about 26k digits: exit 0 means they printed past the caller's limit
+            (["seq", "--kind", "V", "--n", "30000", "--p", "7", "--q", "-3", "--method", "matrix"], 0),
+            (["seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("limit", [5000, 0])  # 0 means no limit
+    def test_int_to_str_limit_is_restored(self, capsys, argv, code, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestEntryPoints:

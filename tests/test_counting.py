@@ -1,6 +1,7 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,16 @@ class TestElimination:
     def test_state_budget_abandons_rather_than_lying(self):
         with pytest.raises(ComputationAbandoned, match="abandoned"):
             independence_polynomial(make_cycle(10), max_states=1)
+
+    def test_recursion_limit_is_restored(self):
+        before = sys.getrecursionlimit()
+        big = make_chainsaw(ChainsawParams(240, 3, 2))
+        assert 4 * big.order + 200 > before
+        assert sum(independence_polynomial(big)) == closed_form_count(ChainsawParams(240, 3, 2), "chainsaw")
+        assert sys.getrecursionlimit() == before
+        with pytest.raises(ComputationAbandoned):
+            independence_polynomial(big, max_states=10)
+        assert sys.getrecursionlimit() == before
 
 
 class TestPathCycleCoefficients:

@@ -1,10 +1,6 @@
-"""Backend parity tests for the subset-enumeration kernels."""
+"""The meet-in-the-middle oracle kernel against the definition."""
 
-import importlib.util
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -21,115 +17,59 @@ def _masks(g: Graph) -> tuple[list[int], int, int]:
     return adj, loop_mask, chain_mask
 
 
-def test_numba_is_a_hard_dependency_here():
-    """Wherever numba is installed, it is detected as the jit backend."""
-    pytest.importorskip("numba")
-    assert _kernels.available_backends() == ("jit", "numpy")
-
-
-def test_without_numba_numpy_is_the_only_backend(monkeypatch):
-    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", False)
-    assert _kernels.available_backends() == ("numpy",)
-    monkeypatch.delenv(_kernels.PURE_NUMPY_ENV, raising=False)
-    assert _kernels.active_backend() == "numpy"
-    for flag in ("0", "1"):
-        monkeypatch.setenv(_kernels.PURE_NUMPY_ENV, flag)
-        assert _kernels.active_backend() == "numpy"
-
-
-def test_jit_is_available_exactly_when_numba_is_installed():
-    numba_installed = importlib.util.find_spec("numba") is not None
-    assert ("jit" in _kernels.available_backends()) == numba_installed
-
-
-def test_active_backend_is_among_available():
-    assert _kernels.active_backend() in _kernels.available_backends()
+def _count(g: Graph) -> int:
+    adj, loop_mask, _ = _masks(g)
+    counts = _kernels.strata_by_chain_count(adj, loop_mask, 0, g.order)
+    assert len(counts) == g.order + 1
+    return counts[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_count_matches_reference_on_both_backends(seed):
     g = random_graph(random.Random(seed), max_order=12)
-    adj, loop_mask, _ = _masks(g)
-    want = reference_count(g)
-    for backend in _kernels.available_backends():
-        assert _kernels.count_independent(adj, loop_mask, g.order, backend) == want
+    assert _count(g) == reference_count(g)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_strata_match_reference_on_both_backends(seed):
     g = random_graph(random.Random(100 + seed), max_order=12)
     adj, loop_mask, chain_mask = _masks(g)
-    want = reference_strata(g)
-    for backend in _kernels.available_backends():
-        counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order, backend)
-        assert {t: c for t, c in enumerate(counts) if c} == want
+    counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order)
+    assert {t: c for t, c in enumerate(counts) if c} == reference_strata(g)
+
+
+def test_matches_reference_on_300_random_graphs():
+    rng = random.Random(300)
+    for _ in range(300):
+        g = random_graph(rng, max_order=14, loop_prob=0.15)
+        adj, loop_mask, chain_mask = _masks(g)
+        counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order)
+        assert {t: c for t, c in enumerate(counts) if c} == reference_strata(g), g
+        assert _count(g) == reference_count(g), g
 
 
 def test_empty_graph_has_one_independent_set():
-    for backend in _kernels.available_backends():
-        assert _kernels.count_independent([], 0, 0, backend) == 1
-        assert _kernels.strata_by_chain_count([], 0, 0, 0, backend) == [1]
+    assert _kernels.strata_by_chain_count([], 0, 0, 0) == [1]
 
 
 def test_all_loops_leave_only_the_empty_set():
-    for backend in _kernels.available_backends():
-        assert _kernels.count_independent([0, 0, 0], 0b111, 3, backend) == 1
+    assert _kernels.strata_by_chain_count([0, 0, 0], 0b111, 0b111, 3) == [1, 0, 0, 0]
 
 
 def test_zero_chain_mask_puts_everything_in_stratum_zero():
     g = make_cycle(6)
     adj, loop_mask, _ = _masks(g)
-    counts = _kernels.strata_by_chain_count(adj, loop_mask, 0, g.order, "numpy")
+    counts = _kernels.strata_by_chain_count(adj, loop_mask, 0, g.order)
     assert counts[0] == lucas_V(6, 1, -1)
     assert sum(counts[1:]) == 0
 
 
-def test_cycle_smoke_crosses_the_chunk_boundary():
-    # order 21 exceeds the numpy chunk width, exercising the chunked path
-    g = make_cycle(21)
-    adj, loop_mask, _ = _masks(g)
-    want = lucas_V(21, 1, -1)
-    for backend in _kernels.available_backends():
-        assert _kernels.count_independent(adj, loop_mask, g.order, backend) == want
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        _kernels.count_independent([0], 0, 1, "gpu")
+def test_cycles_of_odd_order_and_at_the_default_cap():
+    # order 1 leaves one half empty, odd orders split unevenly, 26 is the default cap
+    for n in (1, 3, 7, 13, 21, 25, 26):
+        assert _count(make_cycle(n)) == lucas_V(n, 1, -1), n
 
 
 def test_order_above_mask_limit_rejected():
     with pytest.raises(ValueError, match="at most"):
-        _kernels.count_independent([0] * 49, 0, 49)
-
-
-def test_env_flag_switches_the_default_backend(monkeypatch):
-    # The flag rule applies when numba is importable; pin that so the rule
-    # is checked on every machine (no compiled kernel is called here).
-    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", True)
-    monkeypatch.setenv(_kernels.PURE_NUMPY_ENV, "1")
-    assert _kernels.active_backend() == "numpy"
-    monkeypatch.setenv(_kernels.PURE_NUMPY_ENV, "0")
-    assert _kernels.active_backend() == "jit"
-    monkeypatch.delenv(_kernels.PURE_NUMPY_ENV)
-    assert _kernels.active_backend() == "jit"
-
-
-def test_env_flag_survives_a_fresh_interpreter():
-    code = "import chainsaw._kernels as k; print(k.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, _kernels.PURE_NUMPY_ENV: "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_explicit_backend_overrides_the_env_flag(monkeypatch):
-    pytest.importorskip("numba")
-    monkeypatch.setenv(_kernels.PURE_NUMPY_ENV, "1")
-    g = make_cycle(8)
-    adj, loop_mask, _ = _masks(g)
-    assert _kernels.count_independent(adj, loop_mask, g.order, "jit") == lucas_V(8, 1, -1)
+        _kernels.strata_by_chain_count([0] * 49, 0, 0, 49)
