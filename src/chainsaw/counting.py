@@ -8,8 +8,12 @@ Three mutually independent routes, cross-checked by the verification sweep:
   the oracle; it refuses graphs above a configurable vertex cap.
 * ``independence_polynomial`` / ``count_via_elimination``: the branching
   identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
-  up front, multiplication across connected components, and memoization
-  keyed on the induced vertex subset.
+  up front and multiplication across connected components. One engine
+  serves both, over coefficient tuples or over plain ints at x = 1.
+  Components are found once at the start and afterwards only around the
+  removed vertices; only connected subsets are memoized, keyed on the
+  induced vertex subset; the branching runs on an explicit stack, so no
+  interpreter state is touched.
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms assembled from binomial coefficients, one entry per number
   of chain vertices used.
@@ -20,8 +24,9 @@ fixed-width arithmetic.
 
 from __future__ import annotations
 
+import operator
 import os
-import sys
+from itertools import repeat
 from typing import Callable
 
 from . import _kernels
@@ -58,7 +63,7 @@ def _adjacency_masks(g: Graph) -> list[int]:
 
 
 def _check_cap(g: Graph, cap: int | None) -> None:
-    limit = _resolve_cap(cap)
+    limit = min(_resolve_cap(cap), _kernels._MASK_BIT_LIMIT)
     if g.order > limit:
         raise OracleCapExceeded(
             f"oracle cap exceeded: graph has {g.order} vertices, cap is {limit}"
@@ -81,6 +86,16 @@ def brute_force_strata(g: Graph, *, cap: int | None = None) -> dict[int, int]:
     return {t: c for t, c in enumerate(counts) if c}
 
 
+def _neighbours(mask: int, adj: list[int]) -> int:
+    """Union of the neighbour masks of the vertices in `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
+
+
 def _components(mask: int, adj: list[int]) -> list[int]:
     comps = []
     rem = mask
@@ -88,25 +103,55 @@ def _components(mask: int, adj: list[int]) -> list[int]:
         comp = rem & -rem
         frontier = comp
         while frontier:
-            grown = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                grown |= adj[low.bit_length() - 1]
-            frontier = grown & mask & ~comp
+            frontier = _neighbours(frontier, adj) & mask & ~comp
             comp |= frontier
         comps.append(comp)
         rem &= ~comp
     return comps
 
 
-def _max_degree_pivot(mask: int, adj: list[int]) -> int:
+def _split(rest: int, seeds: int, adj: list[int]) -> list[int]:
+    """Connected components of `rest`, given that each one holds a vertex of `seeds`.
+
+    One breadth-first search starts at every seed, all growing a layer per
+    round. Searches that meet merge; a search with nothing left to grow into
+    is a whole component. Once at most one search is still growing, the part
+    of `rest` the finished ones did not take is the last component, so the
+    work stays near the seeds however large that last piece is.
+    """
+    growing: list[tuple[int, int]] = []  # (component so far, its unexpanded frontier)
+    while seeds:
+        low = seeds & -seeds
+        seeds ^= low
+        growing.append((low, low))
+    done: list[int] = []
+    while len(growing) > 1:
+        merged: list[tuple[int, int]] = []
+        for comp, frontier in growing:
+            grown = _neighbours(frontier, adj) & rest & ~comp
+            if not grown:
+                done.append(comp)
+                continue
+            comp |= grown
+            for other in [m for m in merged if m[0] & comp]:
+                merged.remove(other)
+                comp |= other[0]
+                grown |= other[1]
+            merged.append((comp, grown))
+        growing = merged
+    if growing:
+        for comp in done:
+            rest &= ~comp
+        done.append(rest)
+    return done
+
+
+def _max_degree_vertex(candidates: int, mask: int, adj: list[int]) -> int:
+    """The candidate with the most neighbours in `mask`, ties to the lowest index."""
     best, best_deg = -1, -1
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
         v = low.bit_length() - 1
         deg = (adj[v] & mask).bit_count()
         if deg > best_deg:
@@ -114,13 +159,98 @@ def _max_degree_pivot(mask: int, adj: list[int]) -> int:
     return best
 
 
+def _poly_add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(map(operator.add, p, q)) + p[len(q) :]
+
+
+def _poly_shift(p: tuple[int, ...]) -> tuple[int, ...]:
+    return (0,) + p
+
+
+def _identity(value: int) -> int:
+    return value
+
+
 def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    if len(p) < len(q):
+        p, q = q, p
     out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, d in enumerate(q):
-                out[i + j] += c * d
+    for j, d in enumerate(q):  # one pass over the longer factor per term of the shorter
+        end = j + len(p)
+        out[j:end] = map(operator.add, out[j:end], map(operator.mul, p, repeat(d)))
     return tuple(out)
+
+
+def _product(values: list, one, mul):
+    if not values:
+        return one
+    result = values[0]
+    for value in values[1:]:
+        result = mul(result, value)
+    return result
+
+
+_SOLVE, _JOIN = 0, 1
+
+
+def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max_states: int):
+    """I(G) evaluated in the value type given by `one`, `add`, `shift` (times x) and `mul`.
+
+    Works on vertex bitmasks over the original numbering. Only connected
+    masks are solved and memoized: a connected mask picks a pivot v and
+    splits both G - v and G - N[v] into components around the removed
+    vertices (`_split`), then joins the component values as
+    I(G - v) + x * I(G - N[v]). The pending work lives on an explicit stack
+    of tasks: a solve task for a connected mask, and a join task that
+    consumes the values its components pushed.
+    """
+    adj = _adjacency_masks(g)
+    live = 0
+    for v in range(g.order):
+        if v not in g.loops:
+            live |= 1 << v
+    single = add(one, shift(one))
+    memo: dict = {}
+    values: list = []
+    roots = _components(live, adj)
+    # a root component scans all its vertices for a pivot; a split piece, only its seeds
+    tasks: list[tuple] = [(_SOLVE, comp, comp) for comp in reversed(roots)]
+    while tasks:
+        kind, mask, arg = tasks.pop()
+        if kind == _JOIN:
+            n_without, n_with = arg
+            cut = len(values) - n_with
+            with_v = _product(values[cut:], one, mul)
+            without_v = _product(values[cut - n_without : cut], one, mul)
+            del values[cut - n_without :]
+            result = add(without_v, shift(with_v))
+            if len(memo) >= max_states:
+                raise ComputationAbandoned(f"elimination abandoned after {max_states} memo entries")
+            memo[mask] = result
+            values.append(result)
+            continue
+        if not mask & (mask - 1):
+            values.append(single)
+            continue
+        cached = memo.get(mask)
+        if cached is not None:
+            values.append(cached)
+            continue
+        v = pivot_rule(mask, adj) if pivot_rule else _max_degree_vertex(arg, mask, adj)
+        closed = adj[v] & mask | 1 << v
+        reach = _neighbours(closed, adj)
+        rest_without = mask ^ (1 << v)
+        rest_with = mask & ~closed
+        without_v = _split(rest_without, adj[v] & rest_without, adj)
+        with_v = _split(rest_with, reach & rest_with, adj)
+        tasks.append((_JOIN, mask, (len(without_v), len(with_v))))
+        for comp in reversed(with_v):
+            tasks.append((_SOLVE, comp, reach & comp))
+        for comp in reversed(without_v):
+            tasks.append((_SOLVE, comp, adj[v] & comp))
+    return _product(values, one, mul)
 
 
 def independence_polynomial(
@@ -133,61 +263,21 @@ def independence_polynomial(
 
     Looped vertices are discarded first (they join no independent set).
     Each connected component is solved separately and the component
-    polynomials multiplied. Within a component the pivot v (by default a
-    maximum-degree vertex, ties to the lowest index) splits the count into
-    sets avoiding v and sets containing v:
+    polynomials multiplied. Within a component the pivot v splits the
+    count into sets avoiding v and sets containing v:
 
         I(G) = I(G - v) + x * I(G - N[v])
 
-    Subproblems are memoized on the induced vertex subset, encoded as a
-    bitmask over the original vertex numbering. Exhausting ``max_states``
-    memo entries (or the interpreter stack) raises ComputationAbandoned
-    rather than ever returning a wrong answer.
+    By default v is a maximum-degree vertex among the survivors next to the
+    last removed vertices (the whole component at the start), ties to the
+    lowest index; a ``pivot_rule(mask, adj)`` overrides it. Only connected
+    subproblems are memoized, keyed on the induced vertex subset as a
+    bitmask over the original vertex numbering. The branching runs on an
+    explicit stack, so no interpreter state is touched however deep it
+    goes. Exhausting ``max_states`` memo entries raises
+    ComputationAbandoned rather than ever returning a wrong answer.
     """
-    adj = _adjacency_masks(g)
-    pivot = pivot_rule or _max_degree_pivot
-    live = 0
-    for v in range(g.order):
-        if v not in g.loops:
-            live |= 1 << v
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def poly(mask: int) -> tuple[int, ...]:
-        if mask == 0:
-            return (1,)
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        comps = _components(mask, adj)
-        if len(comps) > 1:
-            result = (1,)
-            for comp in comps:
-                result = _poly_mul(result, poly(comp))
-        else:
-            v = pivot(mask, adj)
-            without_v = poly(mask & ~(1 << v))
-            excl_closed = poly(mask & ~(adj[v] | (1 << v)))
-            out = [0] * max(len(without_v), len(excl_closed) + 1)
-            for i, c in enumerate(without_v):
-                out[i] += c
-            for i, c in enumerate(excl_closed):
-                out[i + 1] += c
-            result = tuple(out)
-        if len(memo) >= max_states:
-            raise ComputationAbandoned(
-                f"elimination abandoned after {max_states} memo entries"
-            )
-        memo[mask] = result
-        return result
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * g.order + 200))
-    try:
-        return list(poly(live))
-    except RecursionError as exc:
-        raise ComputationAbandoned("elimination abandoned: recursion too deep") from exc
-    finally:
-        sys.setrecursionlimit(old_limit)
+    return list(_eliminate(g, (1,), _poly_add, _poly_shift, _poly_mul, pivot_rule, max_states))
 
 
 def count_via_elimination(
@@ -196,8 +286,8 @@ def count_via_elimination(
     pivot_rule: PivotRule | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> int:
-    """i(G) as the coefficient sum of the independence polynomial."""
-    return sum(independence_polynomial(g, pivot_rule=pivot_rule, max_states=max_states))
+    """i(G) = I(G; 1): the same elimination as the polynomial, on plain ints at x = 1."""
+    return _eliminate(g, 1, operator.add, _identity, operator.mul, pivot_rule, max_states)
 
 
 def path_coefficient(n: int, t: int) -> int:

@@ -78,6 +78,15 @@ class TestCount:
         assert out == ""
         assert "oracle cap exceeded" in err
 
+    def test_brute_above_the_kernel_limit_exits_3(self, capsys, monkeypatch):
+        # a raised cap cannot lift the oracle past what its masks hold;
+        # order 50 is refused before any table is built
+        monkeypatch.setenv("CHAINSAW_BRUTE_CAP", "60")
+        rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", "50", "--method", "brute")
+        assert rc == 3
+        assert out == ""
+        assert "graph has 50 vertices, cap is 48" in err
+
     def test_missing_blade_options_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3")
         assert rc == 2

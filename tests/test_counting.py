@@ -24,6 +24,7 @@ from chainsaw.counting import (
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
+from chainsaw.sequences import lucas_U, lucas_V
 from helpers import random_graph, reference_polynomial, reference_strata
 
 
@@ -136,8 +137,23 @@ class TestElimination:
         assert count_via_elimination(denser) < count_via_elimination(g)
 
     def test_state_budget_abandons_rather_than_lying(self):
-        with pytest.raises(ComputationAbandoned, match="abandoned"):
-            independence_polynomial(make_cycle(10), max_states=1)
+        for engine in (independence_polynomial, count_via_elimination):
+            with pytest.raises(ComputationAbandoned, match="abandoned"):
+                engine(make_cycle(10), max_states=1)
+
+    def test_count_path_abandons_a_large_graph(self):
+        with pytest.raises(ComputationAbandoned, match="after 10 memo entries"):
+            count_via_elimination(make_chainsaw(ChainsawParams(3000, 3, 2)), max_states=10)
+
+    def test_deep_elimination_never_touches_the_recursion_limit(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
+
+        before = sys.getrecursionlimit()
+        assert before <= 1000  # 9000 vertices branch far deeper than this
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert count_via_elimination(make_chainsaw(ChainsawParams(3000, 3, 2))) == lucas_V(3000, 3, -2)
+        assert sys.getrecursionlimit() == before
 
     def test_recursion_limit_is_restored(self):
         before = sys.getrecursionlimit()
@@ -148,6 +164,26 @@ class TestElimination:
         with pytest.raises(ComputationAbandoned):
             independence_polynomial(big, max_states=10)
         assert sys.getrecursionlimit() == before
+
+
+class TestFamilyProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["chainsaw", "broken"]),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    def test_elimination_matches_lucas_at_random_sizes(self, family, n, a, data):
+        b = data.draw(st.integers(min_value=1, max_value=a), label="b")
+        params = ChainsawParams(n, a, b)
+        g = family_graph(params, family)
+        want = lucas_V(n, a, -b) if family == "chainsaw" else lucas_U(n + 2, a, -b)
+        count = count_via_elimination(g)
+        poly = independence_polynomial(g)
+        assert count == want
+        assert sum(poly) == count
+        assert (poly + [0])[1] == g.order - len(g.loops)  # C(1, a, b) may have no free vertex
 
 
 class TestPathCycleCoefficients:
