@@ -1,7 +1,8 @@
 """Command-line surface: generate graphs, count, evaluate sequences, verify, bench.
 
 Exit status contract: 0 success, 1 verification or benchmark disagreement,
-2 usage error, 3 resource cap (oracle cap exceeded or computation abandoned).
+2 usage error, 3 resource cap (oracle cap exceeded, computation abandoned, or
+a result too long to print).
 All output is written to stdout and, timings aside, is byte-deterministic
 for identical invocations.
 """
@@ -63,6 +64,15 @@ def _closed_form(family: str, n: int, a: int | None, b: int | None) -> int:
     return closed_form_count(ChainsawParams(n, a, b), family)
 
 
+def _decimal(value: int) -> str:
+    """`value` as decimal text. Past the int-to-str limit that is a resource cap (exit 3)."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ComputationAbandoned(f"result has more than {limit} digits to print") from None
+
+
 def _cmd_generate(args) -> int:
     graph = _build_graph(args.family, args.n, args.a, args.b)
     sys.stdout.write(export_graph(graph, args.format))
@@ -78,7 +88,7 @@ def _cmd_count(args) -> int:
             value = count_brute_force(graph)
         else:
             value = count_via_elimination(graph)
-    print(value)
+    print(_decimal(value))
     return 0
 
 
@@ -90,7 +100,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_seq(args) -> int:
     spec = SequenceSpec(args.kind, args.n, args.p, args.q, args.method)
-    print(evaluate(spec))
+    print(_decimal(evaluate(spec)))
     return 0
 
 

@@ -15,8 +15,8 @@ Three mutually independent routes, cross-checked by the verification sweep:
   induced vertex subset; the branching runs on an explicit stack, so no
   interpreter state is touched.
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
-  closed forms assembled from binomial coefficients, one entry per number
-  of chain vertices used.
+  closed forms, one entry per number of chain vertices used: the summands
+  of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' routine.
 
 Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic.
@@ -31,7 +31,7 @@ from typing import Callable
 
 from . import _kernels
 from .graphs import CHAIN, ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import SequenceSpec, binom, evaluate
+from .sequences import SequenceSpec, _dickson_terms, binom, evaluate
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -48,7 +48,7 @@ class OracleCapExceeded(RuntimeError):
 
 
 class ComputationAbandoned(RuntimeError):
-    """The elimination engine hit its resource budget before finishing."""
+    """A computation hit a resource budget: elimination memo entries or printable result size."""
 
 
 def _resolve_cap(cap: int | None) -> int:
@@ -310,15 +310,17 @@ def cycle_coefficient(n: int, t: int) -> int:
 
 
 def path_coefficients(n: int) -> list[int]:
-    """Full coefficient list for the n-vertex path, t = 0..floor((n+1)/2)."""
-    return [path_coefficient(n, t) for t in range((n + 1) // 2 + 1)]
+    """Full coefficient list for the n-vertex path: the summands of E_{n+1}(1, -1)."""
+    if n < 0:
+        raise ValueError(f"path length must be nonnegative, got {n}")
+    return _dickson_terms("E", n + 1, 1, -1)
 
 
 def cycle_coefficients(n: int) -> list[int]:
-    """Full coefficient list for the n-vertex cycle, t = 0..floor(n/2)."""
+    """Full coefficient list for the n-vertex cycle: the summands of D_n(1, -1)."""
     if n < 1:
         raise ValueError(f"cycle length must be at least 1, got {n}")
-    return [cycle_coefficient(n, t) for t in range(n // 2 + 1)]
+    return _dickson_terms("D", n, 1, -1)
 
 
 def _check_family(family: str) -> None:
@@ -337,16 +339,8 @@ def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int
     none), which is where the powers come from.
     """
     _check_family(family)
-    n, a, b = params.n, params.a, params.b
-    if family == "chainsaw":
-        return {
-            t: cycle_coefficient(n, t) * b**t * a ** (n - 2 * t)
-            for t in range(n // 2 + 1)
-        }
-    return {
-        t: path_coefficient(n, t) * b**t * a ** (n - 2 * t + 1)
-        for t in range((n + 1) // 2 + 1)
-    }
+    kind, m = ("D", params.n) if family == "chainsaw" else ("E", params.n + 1)
+    return dict(enumerate(_dickson_terms(kind, m, params.a, -params.b)))
 
 
 def closed_form_count(params: ChainsawParams, family: str, *, method: str = "strata") -> int:
@@ -354,9 +348,9 @@ def closed_form_count(params: ChainsawParams, family: str, *, method: str = "str
 
     method="strata" sums the stratified closed form. method="sequence"
     evaluates the equivalent Lucas value (V_n(a,-b) for chainsaws,
-    U_{n+2}(a,-b) for broken chainsaws) by matrix powering, which is the
-    route that stays fast for very large n. The two routes are checked
-    against each other by the verification sweep, never assumed equal here.
+    U_{n+2}(a,-b) for broken chainsaws) by index doubling, the route that
+    stays fast for very large n. The two routes are checked against each
+    other by the verification sweep, never assumed equal here.
     """
     _check_family(family)
     if method == "strata":

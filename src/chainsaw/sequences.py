@@ -8,10 +8,10 @@ distinguished only by its seeds:
     D (Dickson 1st):  D_0 = 2, D_1 = x
     E (Dickson 2nd):  E_0 = 1, E_1 = x
 
-D and E additionally have explicit binomial summations, evaluated here in
-pure integer arithmetic, and every kind can be computed in O(log n) matrix
-multiplications by binary powering of the 2x2 companion matrix. All values
-are arbitrary-precision Python ints; parameters may be negative or zero.
+D and E also have binomial summations, whose summands ``_dickson_terms``
+lists, and every kind takes O(log n) doublings of the pair (U_k, U_{k+1})
+that fixes the k-th power of the 2x2 companion matrix. All values are
+arbitrary-precision Python ints; parameters may be negative or zero.
 """
 
 from __future__ import annotations
@@ -30,43 +30,55 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def lucas_U(n: int, p: int, q: int) -> int:
-    """Lucas sequence of the first kind: U_0 = 0, U_1 = 1."""
-    w0, w1 = 0, 1
+def _by_recurrence(n: int, p: int, q: int, w0: int, w1: int) -> int:
     for _ in range(n):
         w0, w1 = w1, p * w1 - q * w0
     return w0
+
+
+def lucas_U(n: int, p: int, q: int) -> int:
+    """Lucas sequence of the first kind: U_0 = 0, U_1 = 1."""
+    return _by_recurrence(n, p, q, 0, 1)
 
 
 def lucas_V(n: int, p: int, q: int) -> int:
     """Lucas sequence of the second kind: V_0 = 2, V_1 = p."""
-    w0, w1 = 2, p
-    for _ in range(n):
-        w0, w1 = w1, p * w1 - q * w0
-    return w0
+    return _by_recurrence(n, p, q, 2, p)
+
+
+def _dickson_terms(kind: str, n: int, x: int, y: int) -> list[int]:
+    """The summands t = 0..floor(n/2) of D_n(x, y) (kind "D") or E_n(x, y) (kind "E").
+
+    Term t is w_t (-y)^t x^(n-2t), with w_t = C(n-t, t) for E and
+    n/(n-t) C(n-t, t) for D. w_t (-y)^t is carried to the next term by -y
+    times the ratio (n-2t)(n-2t-1) / ((t+1)(n-t)), n-t-1 in place of n-t for
+    D; the division is exact since the result is an integer. The powers of x
+    are built upwards by x^2, so no term needs a binomial or a fresh power.
+    """
+    if n == 0 and kind == "D":
+        return [2]  # the seed D_0: the weight is 0/0-shaped here
+    top = n // 2
+    terms = [x if n & 1 else 1]  # x^(n - 2*top), then upwards by x^2
+    x2 = x * x
+    for _ in range(top):
+        terms.append(terms[-1] * x2)
+    terms.reverse()  # entry t is x^(n-2t), multiplied in place by w_t (-y)^t below
+    shift = 1 if kind == "D" else 0
+    carried = 1  # w_t * (-y)^t
+    for t in range(top):
+        carried = carried * (-y * (n - 2 * t) * (n - 2 * t - 1)) // ((t + 1) * (n - t - shift))
+        terms[t + 1] *= carried
+    return terms
 
 
 def dickson_D_sum(n: int, x: int, y: int) -> int:
-    """First-kind Dickson value by its defining summation.
-
-    The t-th term carries the weight n/(n-t) * C(n-t, t), a non-obvious
-    integer; it is computed as C(n-t, t) + C(n-t-1, t-1) so no rational
-    intermediate appears. At n = 0 the weight is 0/0-shaped, so the value
-    is pinned to 2, matching the recurrence seed D_0 = 2.
-    """
-    if n == 0:
-        return 2
-    return sum(
-        (binom(n - t, t) + binom(n - t - 1, t - 1)) * (-y) ** t * x ** (n - 2 * t)
-        for t in range(n // 2 + 1)
-    )
+    """First-kind Dickson value by its defining summation; D_0 = 2 as the recurrence seed."""
+    return sum(_dickson_terms("D", n, x, y))
 
 
 def dickson_E_sum(n: int, x: int, y: int) -> int:
     """Second-kind Dickson value by its defining summation."""
-    return sum(
-        binom(n - t, t) * (-y) ** t * x ** (n - 2 * t) for t in range(n // 2 + 1)
-    )
+    return sum(_dickson_terms("E", n, x, y))
 
 
 @dataclass(frozen=True)
@@ -84,38 +96,22 @@ def _seeds(kind: str, p: int) -> tuple[int, int]:
     return {"U": (0, 1), "V": (2, p), "D": (2, p), "E": (1, p)}[kind]
 
 
-def _by_recurrence(n: int, p: int, q: int, w0: int, w1: int) -> int:
-    for _ in range(n):
-        w0, w1 = w1, p * w1 - q * w0
-    return w0
-
-
-def _mat_mul(m1, m2):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mat_pow(m, e: int):
-    result = (1, 0, 0, 1)
-    while e:
-        if e & 1:
-            result = _mat_mul(result, m)
-        m = _mat_mul(m, m)
-        e >>= 1
-    return result
-
-
 def _by_matrix(n: int, p: int, q: int, w0: int, w1: int) -> int:
-    """W_n via binary powering of the companion matrix [[p, -q], [1, 0]].
+    """W_n by binary powering of the companion matrix M = [[p, -q], [1, 0]], as two entries.
 
-    The matrix maps the state (W_k, W_{k-1}) to (W_{k+1}, W_k), so applying
-    its (n-1)-th power to (W_1, W_0) lands on (W_n, W_{n-1}).
+    M^k = [[U_{k+1}, -q U_k], [U_k, -q U_{k-1}]] is fixed by (U_k, U_{k+1}); on that pair
+    squaring is U_{2k} = U_k (2 U_{k+1} - p U_k), U_{2k+1} = U_{k+1}^2 - q U_k^2 (Joye
+    and Quisquater 1996) and a step by M is U_{k+2} = p U_{k+1} - q U_k. As M maps
+    (W_k, W_{k-1}) to (W_{k+1}, W_k), W_n = w1 U_n - q w0 U_{n-1}.
     """
     if n == 0:
         return w0
-    a, b, c, d = _mat_pow((p, -q, 1, 0), n - 1)
-    return a * w1 + b * w0
+    u0, u1 = 0, 1  # (U_k, U_{k+1}) at k = 0
+    for bit in bin(n - 1)[2:]:
+        u0, u1 = u0 * (2 * u1 - p * u0), u1 * u1 - q * (u0 * u0)
+        if bit == "1":
+            u0, u1 = u1, p * u1 - q * u0
+    return w1 * u1 - q * w0 * u0
 
 
 def evaluate(spec: SequenceSpec) -> int:
@@ -127,11 +123,9 @@ def evaluate(spec: SequenceSpec) -> int:
     if spec.n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {spec.n}")
     if spec.method == "summation":
-        if spec.kind == "D":
-            return dickson_D_sum(spec.n, spec.p, spec.q)
-        if spec.kind == "E":
-            return dickson_E_sum(spec.n, spec.p, spec.q)
-        raise ValueError("summation applies only to Dickson kinds D and E")
+        if spec.kind not in ("D", "E"):
+            raise ValueError("summation applies only to Dickson kinds D and E")
+        return sum(_dickson_terms(spec.kind, spec.n, spec.p, spec.q))
     w0, w1 = _seeds(spec.kind, spec.p)
     if spec.method == "recurrence":
         return _by_recurrence(spec.n, spec.p, spec.q, w0, w1)

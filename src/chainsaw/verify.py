@@ -6,7 +6,8 @@ left value, right value, pass flag, all values as decimal strings so a
 failure is reproducible from the report alone. The sweep covers:
 
 * chainsaw and broken counts: elimination == stratified closed form ==
-  Lucas value == Dickson summation;
+  Lucas value == Dickson summation; the summation runs the closed form's
+  term routine, so elimination and index doubling are its independent checks;
 * stratified counts: brute force == closed form whenever the instance is
   small enough for the oracle;
 * plain path/cycle counts against the Fibonacci/Lucas specializations;

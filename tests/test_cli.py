@@ -87,6 +87,13 @@ class TestCount:
         assert out == ""
         assert "graph has 50 vertices, cap is 48" in err
 
+    @pytest.mark.parametrize("n", ["-1", "-3"])
+    @pytest.mark.parametrize("method", ["brute", "eliminate", "closed-form"])
+    def test_negative_path_length_exits_2(self, capsys, method, n):
+        rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", n, "--method", method)
+        assert (rc, out) == (2, "")
+        assert "path length must be nonnegative" in err
+
     def test_missing_blade_options_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3")
         assert rc == 2
@@ -322,6 +329,23 @@ class TestInterpreterState:
             assert sys.get_int_max_str_digits() == limit
         finally:
             sys.set_int_max_str_digits(saved)
+
+    def test_result_past_the_int_to_str_limit_exits_3(self, capsys, monkeypatch):
+        # main cannot lift the caller's limit of 5000 here, so the ~26k-digit
+        # value cannot be printed: a resource cap, not a usage error
+        saved = sys.get_int_max_str_digits()
+        set_limit = sys.set_int_max_str_digits
+        set_limit(5000)
+        monkeypatch.setattr("chainsaw.cli.sys.set_int_max_str_digits", lambda limit: None)
+        try:
+            rc, out, err = run_cli(
+                capsys, "seq", "--kind", "V", "--n", "30000", "--p", "7", "--q=-3", "--method", "matrix"
+            )
+        finally:
+            monkeypatch.undo()
+            set_limit(saved)
+        assert (rc, out) == (3, "")
+        assert err == "error: result has more than 5000 digits to print\n"
 
 
 class TestEntryPoints:

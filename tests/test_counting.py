@@ -1,5 +1,6 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
+import math
 import random
 import sys
 
@@ -184,6 +185,40 @@ class TestFamilyProperties:
         assert count == want
         assert sum(poly) == count
         assert (poly + [0])[1] == g.order - len(g.loops)  # C(1, a, b) may have no free vertex
+
+
+def _binomial_cycle_weight(n, t):
+    """n/(n-t) * C(n-t, t) as C(n-t, t) + C(n-t-1, t-1)."""
+    return math.comb(n - t, t) + (math.comb(n - t - 1, t - 1) if t else 0)
+
+
+class TestTermsAgainstTheBinomialDefinition:
+    """Every closed-form term against its binomial weight times fresh powers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["chainsaw", "broken"]),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_strata(self, family, n, a, data):
+        b = data.draw(st.integers(min_value=1, max_value=a), label="b")
+        if family == "chainsaw":
+            want = {t: _binomial_cycle_weight(n, t) * b**t * a ** (n - 2 * t) for t in range(n // 2 + 1)}
+        else:
+            want = {t: math.comb(n - t + 1, t) * b**t * a ** (n - 2 * t + 1) for t in range((n + 1) // 2 + 1)}
+        assert stratified_closed_form(ChainsawParams(n, a, b), family) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=400))
+    def test_path_coefficients(self, n):
+        assert path_coefficients(n) == [math.comb(n - t + 1, t) for t in range((n + 1) // 2 + 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=400))
+    def test_cycle_coefficients(self, n):
+        assert cycle_coefficients(n) == [_binomial_cycle_weight(n, t) for t in range(n // 2 + 1)]
 
 
 class TestPathCycleCoefficients:

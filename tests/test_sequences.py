@@ -1,13 +1,16 @@
 """Seed values, frozen examples, and engine agreement for the sequence module."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainsaw.sequences import (
     KINDS,
     METHODS,
     SequenceSpec,
+    _dickson_terms,
     binom,
     dickson_D_sum,
     dickson_E_sum,
@@ -17,6 +20,19 @@ from chainsaw.sequences import (
 )
 
 PQ_EXAMPLES = [(1, -1), (7, 9), (-2, 3), (0, -5)]
+
+
+def binomial_definition_terms(kind, n, x, y):
+    """Summands of D_n(x, y) or E_n(x, y), each from its binomial weight and fresh powers."""
+    if kind == "D" and n == 0:
+        return [2]
+    terms = []
+    for t in range(n // 2 + 1):
+        weight = math.comb(n - t, t)
+        if kind == "D" and t > 0:
+            weight += math.comb(n - t - 1, t - 1)  # n/(n-t) * C(n-t, t), kept in the integers
+        terms.append(weight * (-y) ** t * x ** (n - 2 * t))
+    return terms
 
 
 class TestBinom:
@@ -85,6 +101,25 @@ class TestDicksonSums:
     def test_second_kind_low_indices(self, x, y):
         assert dickson_E_sum(0, x, y) == 1
         assert dickson_E_sum(1, x, y) == x
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["D", "E"]),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-4, max_value=4),
+    )
+    @example("D", 0, 3, -2)
+    @example("E", 0, 3, -2)
+    @example("D", 400, 0, 3)
+    @example("E", 399, 0, -4)
+    @example("D", 399, 4, 0)
+    @example("E", 400, -4, 0)
+    def test_terms_match_the_binomial_definition(self, kind, n, x, y):
+        want = binomial_definition_terms(kind, n, x, y)
+        assert _dickson_terms(kind, n, x, y) == want
+        total = dickson_D_sum(n, x, y) if kind == "D" else dickson_E_sum(n, x, y)
+        assert total == sum(want)
 
     def test_same_argument_lucas_identities(self):
         # D_n(x, y) = V_n(x, y) and E_n(x, y) = U_{n+1}(x, y): both sides
