@@ -1,10 +1,11 @@
-"""Command-line surface: generate graphs, count, evaluate sequences, verify, bench.
+"""Command-line surface: generate graphs, count, evaluate sequences, verify.
 
-Exit status contract: 0 success, 1 verification or benchmark disagreement,
-2 usage error, 3 resource cap (oracle cap exceeded, computation abandoned, or
-a result too long to print).
-All output is written to stdout and, timings aside, is byte-deterministic
-for identical invocations.
+Exit status contract: 0 success, 1 verification disagreement, 2 usage
+error, 3 resource cap (oracle cap exceeded, computation abandoned, or a
+result of more than ``counting.MAX_DIGITS`` digits to print).
+All output is written to stdout and is byte-deterministic for identical
+invocations. Every integer printed goes through ``counting.decimal_text``,
+so no interpreter setting changes what prints.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .counting import (
     ComputationAbandoned,
@@ -21,6 +21,8 @@ from .counting import (
     count_brute_force,
     count_via_elimination,
     cycle_coefficients,
+    decimal_text,
+    family_graph,
     independence_polynomial,
     path_coefficients,
 )
@@ -30,8 +32,6 @@ from .graphs import (
     Graph,
     export_graph,
     graph_from_json,
-    make_broken_chainsaw,
-    make_chainsaw,
     make_cycle,
     make_path,
 )
@@ -40,37 +40,31 @@ from .verify import InjectedGraph, run_verification
 
 GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
 COUNT_METHODS = ("brute", "eliminate", "closed-form")
-BENCH_GRAPH_METHODS = ("brute", "eliminate", "closed-form")
 
 
-def _build_graph(family: str, n: int, a: int | None, b: int | None) -> Graph:
+def _family_params(family: str, n: int, a: int | None, b: int | None) -> ChainsawParams | None:
+    """Checked (n, a, b) for chainsaw and broken; None for path and cycle, which take no --a/--b."""
     if family in ("path", "cycle"):
         if a is not None or b is not None:
             raise ValueError("--a and --b apply only to the chainsaw and broken families")
-        return make_path(n) if family == "path" else make_cycle(n)
+        return None
     if a is None or b is None:
         raise ValueError(f"family {family!r} requires --a and --b")
-    params = ChainsawParams(n, a, b)
-    return make_chainsaw(params) if family == "chainsaw" else make_broken_chainsaw(params)
+    return ChainsawParams(n, a, b)
+
+
+def _build_graph(family: str, n: int, a: int | None, b: int | None) -> Graph:
+    params = _family_params(family, n, a, b)
+    if params is None:
+        return make_path(n) if family == "path" else make_cycle(n)
+    return family_graph(params, family)
 
 
 def _closed_form(family: str, n: int, a: int | None, b: int | None) -> int:
-    if family == "path":
-        return sum(path_coefficients(n))
-    if family == "cycle":
-        return sum(cycle_coefficients(n))
-    if a is None or b is None:
-        raise ValueError(f"family {family!r} requires --a and --b")
-    return closed_form_count(ChainsawParams(n, a, b), family)
-
-
-def _decimal(value: int) -> str:
-    """`value` as decimal text. Past the int-to-str limit that is a resource cap (exit 3)."""
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ComputationAbandoned(f"result has more than {limit} digits to print") from None
+    params = _family_params(family, n, a, b)
+    if params is None:
+        return sum(path_coefficients(n) if family == "path" else cycle_coefficients(n))
+    return closed_form_count(params, family)
 
 
 def _cmd_generate(args) -> int:
@@ -83,24 +77,21 @@ def _cmd_count(args) -> int:
     if args.method == "closed-form":
         value = _closed_form(args.family, args.n, args.a, args.b)
     else:
-        graph = _build_graph(args.family, args.n, args.a, args.b)
-        if args.method == "brute":
-            value = count_brute_force(graph)
-        else:
-            value = count_via_elimination(graph)
-    print(_decimal(value))
+        engine = count_brute_force if args.method == "brute" else count_via_elimination
+        value = engine(_build_graph(args.family, args.n, args.a, args.b))
+    print(decimal_text(value))
     return 0
 
 
 def _cmd_poly(args) -> int:
     graph = _build_graph(args.family, args.n, args.a, args.b)
-    print(json.dumps(independence_polynomial(graph)))
+    print(decimal_text(independence_polynomial(graph)))
     return 0
 
 
 def _cmd_seq(args) -> int:
     spec = SequenceSpec(args.kind, args.n, args.p, args.q, args.method)
-    print(_decimal(evaluate(spec)))
+    print(decimal_text(evaluate(spec)))
     return 0
 
 
@@ -133,68 +124,8 @@ def _cmd_verify(args) -> int:
     return 0 if report["summary"]["all_pass"] else 1
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start
-
-
-def _bench_graph(args) -> tuple[dict, bool]:
-    engines = {"brute": count_brute_force, "eliminate": count_via_elimination}
-    # Every method is checked before any is timed, so a bad request never
-    # leaves a half-run bench behind.
-    for m in args.methods:
-        if m not in BENCH_GRAPH_METHODS:
-            raise ValueError(f"unknown bench method {m!r}; expected one of {BENCH_GRAPH_METHODS}")
-    graph = None
-    if any(m != "closed-form" for m in args.methods):
-        graph = _build_graph(args.family, args.n, args.a, args.b)
-    rows = []
-    for m in args.methods:
-        if m == "closed-form":
-            value, seconds = _timed(lambda: _closed_form(args.family, args.n, args.a, args.b))
-        else:
-            value, seconds = _timed(lambda: engines[m](graph))
-        rows.append({"method": m, "seconds": round(seconds, 6), "value": str(value)})
-    instance = {"family": args.family, "n": args.n}
-    if args.a is not None:
-        instance.update(a=args.a, b=args.b)
-    agree = len({row["value"] for row in rows}) <= 1
-    return {"instance": instance, "results": rows, "agree": agree}, agree
-
-
-def _bench_seq(args) -> tuple[dict, bool]:
-    if args.kind is None or args.p is None or args.q is None:
-        raise ValueError("bench --family seq requires --kind, --p and --q")
-    rows = []
-    for m in args.methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown sequence method {m!r}; expected one of {METHODS}")
-        spec = SequenceSpec(args.kind, args.n, args.p, args.q, m)
-        value, seconds = _timed(lambda: evaluate(spec))
-        rows.append({"method": m, "seconds": round(seconds, 6), "value": str(value)})
-    # Self-consistency protocol: for indices too large to re-run term by
-    # term, matrix and recurrence are compared at a short prefix checkpoint.
-    check_n = min(args.n, 1000)
-    mat = evaluate(SequenceSpec(args.kind, check_n, args.p, args.q, "matrix"))
-    rec = evaluate(SequenceSpec(args.kind, check_n, args.p, args.q, "recurrence"))
-    checkpoint = {"n": check_n, "matrix": str(mat), "recurrence": str(rec), "agree": mat == rec}
-    agree = len({row["value"] for row in rows}) <= 1 and checkpoint["agree"]
-    instance = {"family": "seq", "kind": args.kind, "n": args.n, "p": args.p, "q": args.q}
-    return {"instance": instance, "results": rows, "checkpoint": checkpoint, "agree": agree}, agree
-
-
-def _cmd_bench(args) -> int:
-    if args.family == "seq":
-        report, agree = _bench_seq(args)
-    else:
-        report, agree = _bench_graph(args)
-    print(json.dumps(report, indent=2))
-    return 0 if agree else 1
-
-
-def _add_family_options(sub, families=GRAPH_FAMILIES) -> None:
-    sub.add_argument("--family", required=True, choices=families)
+def _add_family_options(sub) -> None:
+    sub.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
     sub.add_argument("--n", required=True, type=int)
     sub.add_argument("--a", type=int)
     sub.add_argument("--b", type=int)
@@ -241,24 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--inject-b", type=int)
     verify.set_defaults(handler=_cmd_verify)
 
-    bench = commands.add_parser("bench", help="time engines on one instance")
-    _add_family_options(bench, GRAPH_FAMILIES + ("seq",))
-    bench.add_argument("--kind", choices=("U", "V", "D", "E"))
-    bench.add_argument("--p", type=int)
-    bench.add_argument("--q", type=int)
-    bench.add_argument("--methods", required=True, nargs="+")
-    bench.set_defaults(handler=_cmd_bench)
-
     return parser
 
 
 def main(argv=None) -> int:
-    # Sequence values at large indices run to hundreds of thousands of
-    # digits; lift the interpreter's int-to-str guard so they print, and
-    # give the caller's value back afterwards (0 means it has no guard).
-    old_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if old_digits:
-        sys.set_int_max_str_digits(max(old_digits, 2_000_000))
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
@@ -268,9 +185,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if old_digits:
-            sys.set_int_max_str_digits(old_digits)
 
 
 if __name__ == "__main__":

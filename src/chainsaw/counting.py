@@ -19,13 +19,15 @@ Three mutually independent routes, cross-checked by the verification sweep:
   of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' routine.
 
 Every count is an exact Python int; nothing here touches floats or
-fixed-width arithmetic.
+fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
+the command line prints.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from itertools import repeat
 from typing import Callable
 
@@ -38,6 +40,9 @@ BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
 
 DEFAULT_MAX_STATES = 1_000_000
 
+MAX_DIGITS = 2_000_000  # the longest result, in decimal digits, that is ever printed
+_BASE_BITS = 4096  # pieces this narrow (about 1233 digits) become a Decimal directly
+
 FAMILIES = ("chainsaw", "broken")
 
 PivotRule = Callable[[int, list[int]], int]
@@ -49,6 +54,43 @@ class OracleCapExceeded(RuntimeError):
 
 class ComputationAbandoned(RuntimeError):
     """A computation hit a resource budget: elimination memo entries or printable result size."""
+
+
+def _to_decimal(piece: int, w: int, powers: dict, ctx: Context | None = None) -> Decimal:
+    """0 <= piece < 2^w as an exact Decimal, split at 2^(w/2); `powers` caches 2^k by k.
+
+    The method of CPython 3.12's ``_pylong.int_to_decimal``. In the exact
+    context libmpdec multiplies large operands by a number-theoretic
+    transform, so the conversion is quasi-linear.
+    """
+    if w <= _BASE_BITS:
+        return Decimal(piece)
+    ctx = ctx or Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    half = w >> 1
+    if half not in powers:
+        powers[half] = ctx.power(2, half)
+    hi = piece >> half
+    low = _to_decimal(piece - (hi << half), half, powers, ctx)
+    return ctx.add(ctx.multiply(_to_decimal(hi, w - half, powers, ctx), powers[half]), low)
+
+
+def decimal_text(value: int | list[int]) -> str:
+    """`value` as decimal text, a list of ints as a JSON array, whatever the int-to-str limit.
+
+    Quasi-linear in the length. More than MAX_DIGITS digits, sign not
+    counted, is a resource cap: ComputationAbandoned, raised before any
+    conversion when the bit length alone shows it.
+    """
+    if isinstance(value, list):
+        return "[" + ", ".join(map(decimal_text, value)) + "]"
+    magnitude = abs(value)
+    width = magnitude.bit_length()
+    # at least floor((width - 1) * log10(2)) + 1 digits, with log10(2) rounded down
+    if (width - 1) * 30102999 // 10**8 < MAX_DIGITS:
+        digits = str(_to_decimal(magnitude, width, {}))
+        if len(digits) <= MAX_DIGITS:
+            return "-" + digits if value < 0 else digits
+    raise ComputationAbandoned(f"result has more than {MAX_DIGITS} digits to print")
 
 
 def _resolve_cap(cap: int | None) -> int:

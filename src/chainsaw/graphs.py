@@ -64,8 +64,16 @@ class Graph:
         """Construct a graph from an edge list.
 
         Duplicate edges collapse (the graph is simple); a pair (v, v) is
-        treated as a self-loop on v. Roles default to all-chain.
+        treated as a self-loop on v. Roles default to all-chain. The order
+        and the roles are checked before any adjacency set is allocated.
         """
+        if not isinstance(order, int):
+            raise TypeError(f"order must be an int, got {order!r}")
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        role_tuple = tuple(roles) if roles is not None else (CHAIN,) * order
+        if len(role_tuple) != order:
+            raise ValueError(f"{len(role_tuple)} roles given for order {order}")
         adj: list[set[int]] = [set() for _ in range(order)]
         loop_set = set(loops)
         for u, v in edges:
@@ -76,7 +84,6 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
             adj[u].add(v)
             adj[v].add(u)
-        role_tuple = tuple(roles) if roles is not None else (CHAIN,) * order
         return cls(
             order=order,
             adjacency=tuple(frozenset(s) for s in adj),

@@ -2,8 +2,9 @@
 
 ``run_verification`` walks every (n, a, b) with 1 <= n <= n_max and
 1 <= b <= a <= a_max and records one check row per identity instance:
-left value, right value, pass flag, all values as decimal strings so a
-failure is reproducible from the report alone. The sweep covers:
+left value, right value, pass flag, all values as decimal strings (by
+``counting.decimal_text``) so a failure is reproducible from the report
+alone. The sweep covers:
 
 * chainsaw and broken counts: elimination == stratified closed form ==
   Lucas value == Dickson summation; the summation runs the closed form's
@@ -30,6 +31,7 @@ from .counting import (
     closed_form_count,
     count_via_elimination,
     cycle_coefficients,
+    decimal_text,
     family_graph,
     independence_polynomial,
     path_coefficients,
@@ -49,7 +51,8 @@ class InjectedGraph:
 
 
 def _strata_str(table: dict[int, int]) -> str:
-    return "{" + ", ".join(f"{t}: {c}" for t, c in sorted(table.items())) + "}"
+    pairs = sorted(table.items())
+    return "{" + ", ".join(f"{decimal_text(t)}: {decimal_text(c)}" for t, c in pairs) + "}"
 
 
 class _Report:
@@ -61,8 +64,8 @@ class _Report:
             {
                 "identity": identity,
                 "params": params,
-                "left": left if isinstance(left, str) else str(left),
-                "right": right if isinstance(right, str) else str(right),
+                "left": left if isinstance(left, str) else decimal_text(left),
+                "right": right if isinstance(right, str) else decimal_text(right),
                 "pass": left == right,
             }
         )

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from chainsaw.cli import main
-from chainsaw.counting import family_graph
-from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw
+from chainsaw.counting import cycle_coefficients, family_graph
+from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
+from chainsaw.sequences import lucas_U, lucas_V
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,14 @@ class TestCount:
         rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", n, "--method", method)
         assert (rc, out) == (2, "")
         assert "path length must be nonnegative" in err
+
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    @pytest.mark.parametrize("method", ["brute", "eliminate", "closed-form"])
+    def test_blade_options_rejected_for_plain_families_by_every_method(self, capsys, family, method):
+        rc, out, err = run_cli(capsys, "count", "--family", family, "--n", "5", "--a", "3", "--b", "1",
+                               "--method", method)
+        assert (rc, out) == (2, "")
+        assert err == "error: --a and --b apply only to the chainsaw and broken families\n"
 
     def test_missing_blade_options_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3")
@@ -236,6 +245,17 @@ class TestVerify:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_huge_injected_order_exits_2_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"order": 10**9, "edges": [], "loops": [], "roles": ["chain"]}))
+        rc, out, err = run_cli(
+            capsys, "verify", "--n-max", "1", "--a-max", "1",
+            "--inject-graph", str(path), "--inject-family", "chainsaw",
+            "--inject-n", "4", "--inject-a", "2", "--inject-b", "1",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: 1 roles given for order 1000000000\n"
+
     def test_malformed_injection_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text('{"order": "soup"}\n')
@@ -249,46 +269,13 @@ class TestVerify:
 
 
 class TestBench:
-    def test_graph_bench_compares_engines(self, capsys):
-        methods = ["brute", "eliminate", "closed-form"]
-        rc, out, _ = run_cli(capsys, "bench", "--family", "cycle", "--n", "12", "--methods", *methods)
-        assert rc == 0
-        report = json.loads(out)
-        assert report["agree"] is True
-        assert [row["method"] for row in report["results"]] == methods
-        assert {row["value"] for row in report["results"]} == {"322"}
-        assert all(row["seconds"] >= 0 for row in report["results"])
-
-    def test_seq_bench_has_a_checkpoint(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "bench", "--family", "seq", "--kind", "V", "--n", "2000",
-            "--p", "1", "--q", "-1", "--methods", "recurrence", "matrix",
-        )
-        assert rc == 0
-        report = json.loads(out)
-        assert report["agree"] is True
-        assert report["checkpoint"]["n"] == 1000
-        assert report["checkpoint"]["agree"] is True
-        assert report["checkpoint"]["matrix"] == report["checkpoint"]["recurrence"]
-
-    def test_seq_bench_requires_sequence_options(self, capsys):
-        rc, _, err = run_cli(capsys, "bench", "--family", "seq", "--n", "10", "--methods", "matrix")
-        assert rc == 2
-        assert "--kind" in err
-
-    @pytest.mark.parametrize("method", ["brute-jit", "brute-numpy"])
-    def test_backend_methods_are_unknown_and_exit_2_before_timing_anything(self, capsys, method):
-        rc, out, err = run_cli(
-            capsys, "bench", "--family", "cycle", "--n", "8", "--methods", "eliminate", method,
-        )
-        assert rc == 2
-        assert out == ""
-        assert f"unknown bench method {method!r}" in err
-
-    def test_unknown_method_exits_2(self, capsys):
-        rc, _, err = run_cli(capsys, "bench", "--family", "cycle", "--n", "8", "--methods", "quantum")
-        assert rc == 2
-        assert "quantum" in err
+    def test_bench_is_no_longer_a_subcommand(self, capsys):
+        # engine timing lives in perfbench, method agreement in count --method and verify
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "cycle", "--n", "12", "--methods", "brute", "eliminate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench" in err
 
 
 class TestDeterminism:
@@ -311,39 +298,41 @@ class TestDeterminism:
 
 
 class TestInterpreterState:
-    @pytest.mark.parametrize(
-        "argv,code",
-        [
-            (["count", "--family", "cycle", "--n", "5"], 0),
-            # about 26k digits: exit 0 means they printed past the caller's limit
-            (["seq", "--kind", "V", "--n", "30000", "--p", "7", "--q", "-3", "--method", "matrix"], 0),
-            (["seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1"], 2),
-        ],
-    )
-    @pytest.mark.parametrize("limit", [5000, 0])  # 0 means no limit
-    def test_int_to_str_limit_is_restored(self, capsys, argv, code, limit):
-        saved = sys.get_int_max_str_digits()
+    @pytest.mark.parametrize("limit", [640, 0])  # the lowest limit Python accepts, and no limit
+    def test_output_never_depends_on_the_int_to_str_limit(self, capsys, monkeypatch, tmp_path,
+                                                          no_int_limit, limit):
+        # the long values are written out while no limit applies, then the
+        # CLI runs under the caller's limit with no way to change it
+        seq = f"{lucas_V(30000, 7, -3)}\n"  # about 26k digits
+        poly = "[" + ", ".join(str(c) for c in cycle_coefficients(400)) + "]\n"
+        path_count = str(lucas_U(3502, 1, -1))  # i(path of 3500 vertices), 732 digits
+        graph = tmp_path / "path.json"
+        graph.write_text(export_graph(make_path(3500), "json"), encoding="utf-8")
         sys.set_int_max_str_digits(limit)
-        try:
-            assert run_cli(capsys, *argv)[0] == code
-            assert sys.get_int_max_str_digits() == limit
-        finally:
-            sys.set_int_max_str_digits(saved)
 
-    def test_result_past_the_int_to_str_limit_exits_3(self, capsys, monkeypatch):
-        # main cannot lift the caller's limit of 5000 here, so the ~26k-digit
-        # value cannot be printed: a resource cap, not a usage error
-        saved = sys.get_int_max_str_digits()
-        set_limit = sys.set_int_max_str_digits
-        set_limit(5000)
-        monkeypatch.setattr("chainsaw.cli.sys.set_int_max_str_digits", lambda limit: None)
-        try:
-            rc, out, err = run_cli(
-                capsys, "seq", "--kind", "V", "--n", "30000", "--p", "7", "--q=-3", "--method", "matrix"
-            )
-        finally:
-            monkeypatch.undo()
-            set_limit(saved)
+        def refuse(_):
+            raise AssertionError("the CLI changed the int-to-str limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert run_cli(capsys, "seq", "--kind", "V", "--n", "30000", "--p", "7", "--q=-3",
+                       "--method", "matrix") == (0, seq, "")
+        assert run_cli(capsys, "poly", "--family", "cycle", "--n", "400") == (0, poly, "")
+        rc, out, err = run_cli(
+            capsys, "verify", "--n-max", "1", "--a-max", "1",
+            "--inject-graph", str(graph), "--inject-family", "chainsaw",
+            "--inject-n", "3", "--inject-a", "1", "--inject-b", "1",
+        )
+        assert (rc, err) == (1, "")
+        injected = json.loads(out)["checks"][-1]
+        assert (injected["left"], injected["right"], injected["pass"]) == (path_count, "4", False)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_result_past_the_print_budget_exits_3(self, capsys, monkeypatch):
+        # the ~26k-digit value is over a 5000-digit budget: a resource cap, not a usage error
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", 5000)
+        rc, out, err = run_cli(
+            capsys, "seq", "--kind", "V", "--n", "30000", "--p", "7", "--q=-3", "--method", "matrix"
+        )
         assert (rc, out) == (3, "")
         assert err == "error: result has more than 5000 digits to print\n"
 

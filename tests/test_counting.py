@@ -1,11 +1,12 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
+import json
 import math
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chainsaw.counting import (
@@ -18,6 +19,7 @@ from chainsaw.counting import (
     count_via_elimination,
     cycle_coefficient,
     cycle_coefficients,
+    decimal_text,
     family_graph,
     independence_polynomial,
     path_coefficient,
@@ -305,3 +307,53 @@ class TestClosedForms:
     def test_family_graph_shapes(self):
         assert family_graph(ChainsawParams(3, 4, 2), "chainsaw").order == 12
         assert family_graph(ChainsawParams(3, 4, 2), "broken").order == 15
+
+
+_CUTOFF_BITS = 4096  # counting._BASE_BITS: wider values are split before conversion
+
+_random_width = st.tuples(st.integers(0, 100_000), st.randoms(use_true_random=False)).map(
+    lambda t: t[1].getrandbits(t[0]) if t[0] else 0
+)
+_near_ten_power = st.integers(0, 30_000).flatmap(
+    lambda k: st.sampled_from([10**k - 1, 10**k, 10**k + 1])
+)
+_near_cutoff = st.integers(_CUTOFF_BITS - 64, 2 * _CUTOFF_BITS + 64).flatmap(
+    lambda w: st.sampled_from([2**w - 1, 2**w, 2**w + 1])
+)
+
+
+class TestDecimalText:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(_random_width, _near_ten_power, _near_cutoff, st.integers(0, 10**40)), st.booleans())
+    def test_matches_str(self, no_int_limit, magnitude, negative):
+        value = -magnitude if negative else magnitude
+        assert decimal_text(value) == str(value)
+
+    def test_lists_print_as_json_arrays(self, no_int_limit):
+        for values in ([], [0], [1, 4, 3], [10**5000 + 1, -(2**20000), 7]):
+            assert decimal_text(values) == json.dumps(values)
+
+    def test_budget_counts_digits_not_the_sign(self, no_int_limit, monkeypatch):
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", 5000)
+        for value in (10**4999, 10**5000 - 1, -(10**5000 - 1)):
+            assert decimal_text(value) == str(value)
+        for value in (10**5000, -(10**5000), 10**6000):
+            with pytest.raises(ComputationAbandoned, match="^result has more than 5000 digits to print$"):
+                decimal_text(value)
+
+    def test_budget_edge_by_bit_length(self, no_int_limit, monkeypatch):
+        # around 5000 digits every width sits on one side of the budget or
+        # the other; the up-front bound must never refuse a printable value
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", 5000)
+        for w in range(16595, 16625):
+            for value in (2**w - 1, 2**w, -(2**w)):
+                if len(str(abs(value))) <= 5000:
+                    assert decimal_text(value) == str(value)
+                else:
+                    with pytest.raises(ComputationAbandoned):
+                        decimal_text(value)
+
+    def test_default_budget_is_two_million_digits(self):
+        # 2^6700000 has 2016900 digits: refused from its bit length alone
+        with pytest.raises(ComputationAbandoned, match="more than 2000000 digits"):
+            decimal_text(2**6_700_000)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -255,6 +256,24 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(order=2, adjacency=(frozenset(),), loops=frozenset(), roles=(CHAIN, CHAIN))
 
+    def test_build_checks_order_and_roles_before_allocating(self):
+        # a billion adjacency sets would take hundreds of GB; the mismatch is found first
+        text = json.dumps({"order": 10**9, "edges": [], "loops": [], "roles": [CHAIN]})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1 roles given for order 1000000000"):
+            graph_from_json(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("order", [-1, -(10**9)])
+    def test_build_rejects_a_negative_order(self, order):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            Graph.build(order)
+
+    @pytest.mark.parametrize("order", ["2", 2.0, None])
+    def test_build_rejects_an_order_that_is_not_an_int(self, order):
+        with pytest.raises(TypeError, match="order must be an int"):
+            Graph.build(order, roles=[CHAIN, CHAIN])
+
 
 class TestExport:
     def test_edge_list_path(self):
@@ -302,7 +321,9 @@ class TestExport:
         with pytest.raises(ValueError, match="format"):
             export_graph(make_path(2), "graphml")
 
-    @pytest.mark.parametrize("text", ['{"order": 2}', "[1, 2]", '"graph"'])
+    @pytest.mark.parametrize(
+        "text", ['{"order": 2}', "[1, 2]", '"graph"', '{"order": 2.0, "edges": [], "loops": [], "roles": []}']
+    )
     def test_malformed_json_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="malformed"):
             graph_from_json(text)
