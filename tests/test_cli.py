@@ -268,14 +268,50 @@ class TestVerify:
         assert "malformed" in err
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestBench:
+    """What the removed `bench` subcommand checked, asked of `count`, `seq` and the parser."""
+
     def test_bench_is_no_longer_a_subcommand(self, capsys):
         # engine timing lives in perfbench, method agreement in count --method and verify
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--family", "cycle", "--n", "12", "--methods", "brute", "eliminate"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        rc, out, err = usage_error(capsys, "bench", "--family", "cycle", "--n", "12",
+                                   "--methods", "brute", "eliminate")
+        assert (rc, out) == (2, "")
         assert "invalid choice" in err and "bench" in err
+
+    def test_graph_bench_compares_engines(self, capsys):
+        for method in ("brute", "eliminate", "closed-form"):
+            assert run_cli(capsys, "count", "--family", "cycle", "--n", "12", "--method", method) == (0, "322\n", "")
+
+    def test_seq_bench_has_a_checkpoint(self, capsys):
+        for n in (2000, 1000):
+            outputs = {
+                run_cli(capsys, "seq", "--kind", "V", "--n", str(n), "--p", "1", "--q", "-1", "--method", method)
+                for method in ("recurrence", "matrix")
+            }
+            assert outputs == {(0, f"{lucas_V(n, 1, -1)}\n", "")}
+
+    def test_seq_bench_requires_sequence_options(self, capsys):
+        rc, out, err = usage_error(capsys, "seq", "--n", "10", "--p", "1", "--q", "1", "--method", "matrix")
+        assert (rc, out) == (2, "")
+        assert "--kind" in err
+
+    @pytest.mark.parametrize("method", ["brute-jit", "brute-numpy"])
+    def test_backend_methods_are_unknown_and_exit_2_before_timing_anything(self, capsys, method):
+        rc, out, err = usage_error(capsys, "count", "--family", "cycle", "--n", "8", "--method", method)
+        assert (rc, out) == (2, "")
+        assert f"invalid choice: {method!r}" in err
+
+    def test_unknown_method_exits_2(self, capsys):
+        rc, out, err = usage_error(capsys, "count", "--family", "cycle", "--n", "8", "--method", "quantum")
+        assert (rc, out) == (2, "")
+        assert "quantum" in err
 
 
 class TestDeterminism:
@@ -298,6 +334,25 @@ class TestDeterminism:
 
 
 class TestInterpreterState:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["count", "--family", "cycle", "--n", "5"], 0),
+            # about 26k digits: exit 0 means they printed past the caller's limit
+            (["seq", "--kind", "V", "--n", "30000", "--p", "7", "--q", "-3", "--method", "matrix"], 0),
+            (["seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("limit", [5000, 0])  # 0 means no limit
+    def test_int_to_str_limit_is_restored(self, capsys, argv, code, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     @pytest.mark.parametrize("limit", [640, 0])  # the lowest limit Python accepts, and no limit
     def test_output_never_depends_on_the_int_to_str_limit(self, capsys, monkeypatch, tmp_path,
                                                           no_int_limit, limit):
