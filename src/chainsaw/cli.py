@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run the identity sweep, emit a JSON report")
     verify.add_argument("--n-max", default=8, type=int)
     verify.add_argument("--a-max", default=4, type=int)
-    verify.add_argument("--brute-cap", default=24, type=int)
+    verify.add_argument("--brute-cap", type=int, help="default: the oracle's cap")
     verify.add_argument("--inject-graph", help="path to a json graph export to cross-check")
     verify.add_argument("--inject-family", choices=("chainsaw", "broken"))
     verify.add_argument("--inject-n", type=int)

@@ -32,8 +32,8 @@ from itertools import repeat
 from typing import Callable
 
 from . import _kernels
-from .graphs import CHAIN, ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import SequenceSpec, _dickson_terms, binom, evaluate
+from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
+from .sequences import _dickson_terms, binom
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -93,7 +93,8 @@ def decimal_text(value: int | list[int]) -> str:
     raise ComputationAbandoned(f"result has more than {MAX_DIGITS} digits to print")
 
 
-def _resolve_cap(cap: int | None) -> int:
+def resolve_brute_cap(cap: int | None) -> int:
+    """`cap` itself, or else the CHAINSAW_BRUTE_CAP environment variable, or else DEFAULT_BRUTE_CAP."""
     if cap is not None:
         return cap
     env = os.environ.get(BRUTE_CAP_ENV, "").strip()
@@ -105,7 +106,7 @@ def _adjacency_masks(g: Graph) -> list[int]:
 
 
 def _check_cap(g: Graph, cap: int | None) -> None:
-    limit = min(_resolve_cap(cap), _kernels._MASK_BIT_LIMIT)
+    limit = min(resolve_brute_cap(cap), _kernels._MASK_BIT_LIMIT)
     if g.order > limit:
         raise OracleCapExceeded(
             f"oracle cap exceeded: graph has {g.order} vertices, cap is {limit}"
@@ -385,24 +386,14 @@ def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int
     return dict(enumerate(_dickson_terms(kind, m, params.a, -params.b)))
 
 
-def closed_form_count(params: ChainsawParams, family: str, *, method: str = "strata") -> int:
-    """i(C(n,a,b)) or i(P(n,a,b)) in closed form.
+def closed_form_count(params: ChainsawParams, family: str) -> int:
+    """i(C(n,a,b)) or i(P(n,a,b)) in closed form: the sum of the stratified closed form.
 
-    method="strata" sums the stratified closed form. method="sequence"
-    evaluates the equivalent Lucas value (V_n(a,-b) for chainsaws,
-    U_{n+2}(a,-b) for broken chainsaws) by index doubling, the route that
-    stays fast for very large n. The two routes are checked against each
-    other by the verification sweep, never assumed equal here.
+    It equals V_n(a,-b) for chainsaws and U_{n+2}(a,-b) for broken
+    chainsaws; the verification sweep checks that against index doubling
+    rather than assuming it here.
     """
-    _check_family(family)
-    if method == "strata":
-        return sum(stratified_closed_form(params, family).values())
-    if method == "sequence":
-        n, a, b = params.n, params.a, params.b
-        if family == "chainsaw":
-            return evaluate(SequenceSpec("V", n, a, -b, "matrix"))
-        return evaluate(SequenceSpec("U", n + 2, a, -b, "matrix"))
-    raise ValueError(f"unknown closed-form method {method!r}; expected 'strata' or 'sequence'")
+    return sum(stratified_closed_form(params, family).values())
 
 
 def family_graph(params: ChainsawParams, family: str) -> Graph:

@@ -24,6 +24,19 @@ BLADE = "blade"
 EXPORT_FORMATS = ("edge-list", "dimacs", "json")
 
 
+class NotAnInt(ValueError, TypeError):
+    """An order, edge end or looped vertex whose type is not exactly int, such as a float or a bool.
+
+    A ValueError like every other rejected graph, and a TypeError like
+    every other wrongly typed field of a json export.
+    """
+
+
+def _check_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise NotAnInt(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable labeled graph. Build instances with :meth:`Graph.build`."""
@@ -64,11 +77,12 @@ class Graph:
         """Construct a graph from an edge list.
 
         Duplicate edges collapse (the graph is simple); a pair (v, v) is
-        treated as a self-loop on v. Roles default to all-chain. The order
-        and the roles are checked before any adjacency set is allocated.
+        treated as a self-loop on v. Roles default to all-chain. The order,
+        every edge end and every looped vertex must be an int, else NotAnInt.
+        The order and the roles are checked before any adjacency set is
+        allocated.
         """
-        if not isinstance(order, int):
-            raise TypeError(f"order must be an int, got {order!r}")
+        _check_int(order, "order")
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         role_tuple = tuple(roles) if roles is not None else (CHAIN,) * order
@@ -76,7 +90,11 @@ class Graph:
             raise ValueError(f"{len(role_tuple)} roles given for order {order}")
         adj: list[set[int]] = [set() for _ in range(order)]
         loop_set = set(loops)
-        for u, v in edges:
+        for v in loop_set:
+            _check_int(v, "looped vertex")
+        for u, v in edges:  # checked inline: every generated graph passes each edge here
+            if type(u) is not int or type(v) is not int:
+                raise NotAnInt(f"edge end must be an int, got ({u!r}, {v!r})")
             if u == v:
                 loop_set.add(u)
                 continue
@@ -142,19 +160,15 @@ def make_path(n: int) -> Graph:
 
 
 def make_cycle(n: int) -> Graph:
-    """The n-vertex cycle. All roles chain.
+    """The n-vertex cycle C(n, 1, 1). All roles chain.
 
-    Conventions for the degenerate lengths: the 1-vertex cycle is a single
-    vertex with a self-loop, the 2-vertex cycle is a single edge. There is
-    no convention for n = 0, so it is rejected.
+    It takes the chainsaw's conventions for the degenerate lengths: the
+    1-vertex cycle is a single vertex with a self-loop, the 2-vertex cycle
+    is a single edge. There is no convention for n = 0, so it is rejected.
     """
     if n < 1:
         raise ValueError(f"cycle length must be at least 1, got {n}")
-    if n == 1:
-        return Graph.build(1, loops=[0])
-    if n == 2:
-        return Graph.build(2, [(0, 1)])
-    return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_chainsaw(ChainsawParams(n, 1, 1))
 
 
 def _blade_members(params: ChainsawParams, v: int) -> list[int]:

@@ -154,7 +154,7 @@ def test_criterion_6_engine_agreement(capsys):
 
 def test_criterion_7_performance_floor(capsys):
     start = time.perf_counter()
-    big = closed_form_count(ChainsawParams(100_000, 7, 3), "chainsaw", method="sequence")
+    big = evaluate(SequenceSpec("V", 100_000, 7, -3, "matrix"))
     sequence_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from chainsaw.cli import main
-from chainsaw.counting import cycle_coefficients, family_graph
+from chainsaw.counting import BRUTE_CAP_ENV, DEFAULT_BRUTE_CAP, cycle_coefficients, family_graph
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import lucas_U, lucas_V
 
@@ -199,6 +199,62 @@ class TestVerify:
         assert {27, 28} <= orders
         assert max(orders) == 28
 
+    GRID_IDENTITIES = (
+        "chainsaw count: elimination == stratified closed form",
+        "chainsaw count: closed form == V(n, a, -b)",
+        "broken count: elimination == stratified closed form",
+        "broken count: closed form == U(n+2, a, -b)",
+        "lucas V: recurrence == matrix",
+        "lucas U: recurrence == matrix",
+    )
+    STRATA_IDENTITIES = (
+        "chainsaw strata: brute force == closed form",
+        "broken strata: brute force == closed form",
+    )
+    PER_N_IDENTITIES = (
+        "path coefficients == C(n-t+1, t)",
+        "cycle coefficients == C(n-t, t) + C(n-t-1, t-1)",
+    )
+
+    def test_default_report_checks_each_identity_once(self, capsys, monkeypatch):
+        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+        rc, out, _ = run_cli(capsys, "verify")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["summary"]["all_pass"] is True
+        assert report["parameters"] == {"n_max": 8, "a_max": 4, "brute_cap": DEFAULT_BRUTE_CAP}
+        labels = {c["identity"] for c in report["checks"]}
+        assert labels == set(self.GRID_IDENTITIES + self.STRATA_IDENTITIES + self.PER_N_IDENTITIES)
+        rows = [(c["identity"], tuple(c["params"].values())) for c in report["checks"]]
+        assert len(rows) == len(set(rows)) == report["summary"]["total"] == 636
+        grid = [(n, a, b) for n in range(1, 9) for a in range(1, 5) for b in range(1, a + 1)]
+        for identity in self.GRID_IDENTITIES:
+            assert sorted(t for i, t in rows if i == identity) == sorted(grid)
+        for identity in self.STRATA_IDENTITIES:
+            family = identity.split()[0]
+            within = [t for t in grid if family_graph(ChainsawParams(*t), family).order <= 26]
+            assert sorted(t for i, t in rows if i == identity) == sorted(within)
+        for identity in self.PER_N_IDENTITIES:
+            assert sorted(t for i, t in rows if i == identity) == [(n,) for n in range(1, 9)]
+
+    def test_brute_cap_is_the_oracle_cap(self, capsys, monkeypatch):
+        def strata_orders(*argv):
+            rc, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--a-max", "4", *argv)
+            assert rc == 0
+            report = json.loads(out)
+            orders = {
+                family_graph(ChainsawParams(**c["params"]), c["identity"].split()[0]).order
+                for c in report["checks"]
+                if " strata: " in c["identity"]
+            }
+            return report["parameters"]["brute_cap"], max(orders)
+
+        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+        assert strata_orders() == (26, 15)
+        monkeypatch.setenv(BRUTE_CAP_ENV, "9")
+        assert strata_orders() == (9, 9)
+        assert strata_orders("--brute-cap", "5") == (5, 5)
+
     def test_injection_flags_must_come_together(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--n-max", "1", "--a-max", "1", "--inject-n", "4")
         assert rc == 2
@@ -266,6 +322,18 @@ class TestVerify:
         )
         assert rc == 2
         assert "malformed" in err
+
+    def test_injected_vertex_that_is_not_an_int_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"order": 3, "edges": [[0, 1], [1, 2]], "loops": [0.5],
+                                    "roles": ["chain"] * 3}))
+        rc, out, err = run_cli(
+            capsys, "verify", "--n-max", "1", "--a-max", "1",
+            "--inject-graph", str(path), "--inject-family", "broken",
+            "--inject-n", "3", "--inject-a", "1", "--inject-b", "1",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: malformed graph json: looped vertex must be an int, got 0.5\n"
 
 
 def usage_error(capsys, *argv):

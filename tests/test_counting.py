@@ -27,7 +27,7 @@ from chainsaw.counting import (
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
-from chainsaw.sequences import lucas_U, lucas_V
+from chainsaw.sequences import SequenceSpec, evaluate, lucas_U, lucas_V
 from helpers import random_graph, reference_polynomial, reference_strata
 
 
@@ -285,24 +285,18 @@ class TestClosedForms:
                 g = family_graph(params, family)
                 assert brute_force_strata(g) == stratified_closed_form(params, family), (family, n, a, b)
 
-    def test_sequence_method_agrees_with_strata(self):
-        for family in ("chainsaw", "broken"):
+    def test_lucas_doubling_agrees_with_strata(self):
+        for family, kind, shift in (("chainsaw", "V", 0), ("broken", "U", 2)):
             for n in (1, 2, 3, 9, 40):
                 for a, b in ((1, 1), (3, 2), (4, 4)):
-                    params = ChainsawParams(n, a, b)
-                    assert closed_form_count(params, family, method="strata") == closed_form_count(
-                        params, family, method="sequence"
-                    )
+                    lucas = evaluate(SequenceSpec(kind, n + shift, a, -b, "matrix"))
+                    assert closed_form_count(ChainsawParams(n, a, b), family) == lucas
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             closed_form_count(ChainsawParams(2, 2, 1), "circular")
         with pytest.raises(ValueError, match="family"):
             family_graph(ChainsawParams(2, 2, 1), "circular")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            closed_form_count(ChainsawParams(2, 2, 1), "chainsaw", method="guess")
 
     def test_family_graph_shapes(self):
         assert family_graph(ChainsawParams(3, 4, 2), "chainsaw").order == 12

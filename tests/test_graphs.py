@@ -12,6 +12,7 @@ from chainsaw.graphs import (
     EXPORT_FORMATS,
     ChainsawParams,
     Graph,
+    NotAnInt,
     export_graph,
     graph_from_json,
     make_broken_chainsaw,
@@ -97,7 +98,7 @@ class TestChainsawParams:
 
 
 class TestChainsaw:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_trivial_blades_give_the_cycle(self, n):
         # a = b = 1 means no blade vertices and no extra edges.
         assert make_chainsaw(ChainsawParams(n, 1, 1)) == make_cycle(n)
@@ -167,7 +168,7 @@ class TestChainsaw:
 
 
 class TestBrokenChainsaw:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_trivial_blades_give_the_path(self, n):
         assert make_broken_chainsaw(ChainsawParams(n, 1, 1)) == make_path(n)
 
@@ -273,6 +274,38 @@ class TestGraphValidation:
     def test_build_rejects_an_order_that_is_not_an_int(self, order):
         with pytest.raises(TypeError, match="order must be an int"):
             Graph.build(order, roles=[CHAIN, CHAIN])
+
+    @pytest.mark.parametrize(
+        "order,edges,loops,what",
+        [
+            (True, (), (), "order"),
+            (False, (), (), "order"),
+            (2.0, (), (), "order"),
+            (3, [(0, 1), (1, 2)], [0.5], "looped vertex"),
+            (3, (), [True], "looped vertex"),
+            (3, (), ["0"], "looped vertex"),
+            (3, [(0, 1.0)], (), "edge end"),
+            (3, [(True, 1)], (), "edge end"),
+            (3, [(1, True)], (), "edge end"),
+            (3, [(0.5, 0.5)], (), "edge end"),
+            (3, [("0", "1")], (), "edge end"),
+        ],
+    )
+    def test_build_rejects_a_vertex_id_that_is_not_an_int(self, order, edges, loops, what):
+        roles = [CHAIN] * 3 if order == 3 else None
+        with pytest.raises(ValueError, match=f"{what} must be an int") as exc:
+            Graph.build(order, edges, loops, roles)
+        assert isinstance(exc.value, NotAnInt)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("order", True), ("loops", [0.5]), ("edges", [[0, 1.5]]), ("edges", [[False, 1]])],
+    )
+    def test_json_with_a_vertex_id_that_is_not_an_int_is_malformed(self, field, value):
+        obj = {"order": 3, "edges": [[0, 1], [1, 2]], "loops": [], "roles": [CHAIN] * 3}
+        obj[field] = value
+        with pytest.raises(ValueError, match="malformed graph json: .* must be an int"):
+            graph_from_json(json.dumps(obj))
 
 
 class TestExport:
