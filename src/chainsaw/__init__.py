@@ -12,6 +12,7 @@ from .counting import (
     OracleCapExceeded,
     brute_force_strata,
     closed_form_count,
+    closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
     cycle_coefficient,
@@ -59,6 +60,7 @@ __all__ = [
     "binom",
     "brute_force_strata",
     "closed_form_count",
+    "closed_form_polynomial",
     "count_brute_force",
     "count_via_elimination",
     "cycle_coefficient",

@@ -18,12 +18,12 @@ from .counting import (
     ComputationAbandoned,
     OracleCapExceeded,
     closed_form_count,
+    closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
     cycle_coefficients,
     decimal_text,
     family_graph,
-    independence_polynomial,
     path_coefficients,
 )
 from .graphs import (
@@ -60,10 +60,14 @@ def _build_graph(family: str, n: int, a: int | None, b: int | None) -> Graph:
     return family_graph(params, family)
 
 
+def _plain_coefficients(family: str, n: int) -> list[int]:
+    return path_coefficients(n) if family == "path" else cycle_coefficients(n)
+
+
 def _closed_form(family: str, n: int, a: int | None, b: int | None) -> int:
     params = _family_params(family, n, a, b)
     if params is None:
-        return sum(path_coefficients(n) if family == "path" else cycle_coefficients(n))
+        return sum(_plain_coefficients(family, n))
     return closed_form_count(params, family)
 
 
@@ -84,8 +88,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    graph = _build_graph(args.family, args.n, args.a, args.b)
-    print(decimal_text(independence_polynomial(graph)))
+    params = _family_params(args.family, args.n, args.a, args.b)
+    if params is None:
+        coefficients = _plain_coefficients(args.family, args.n)
+    else:
+        coefficients = closed_form_polynomial(params, args.family)
+    print(decimal_text(coefficients))
     return 0
 
 

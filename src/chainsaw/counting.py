@@ -1,6 +1,7 @@
 """Exact independent-set counting engines.
 
-Three mutually independent routes, cross-checked by the verification sweep:
+Three mutually independent routes, cross-checked by the verification sweep,
+and a fourth that lifts the closed form to the whole polynomial:
 
 * ``count_brute_force`` / ``brute_force_strata``: every independent set
   counted from the definition by the meet-in-the-middle mask kernel
@@ -17,6 +18,10 @@ Three mutually independent routes, cross-checked by the verification sweep:
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms, one entry per number of chain vertices used: the summands
   of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' routine.
+* ``closed_form_polynomial``: the chainsaw-family independence polynomial
+  as a Lucas value, I(C(n,a,b); x) = V_n(p, q) and I(P(n,a,b); x) =
+  U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'
+  index doubling at the packed point x = 10^w (Kronecker substitution).
 
 Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
@@ -27,13 +32,13 @@ from __future__ import annotations
 
 import operator
 import os
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from itertools import repeat
 from typing import Callable
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import _dickson_terms, binom
+from .sequences import _by_matrix, _dickson_terms, binom
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -42,6 +47,9 @@ DEFAULT_MAX_STATES = 1_000_000
 
 MAX_DIGITS = 2_000_000  # the longest result, in decimal digits, that is ever printed
 _BASE_BITS = 4096  # pieces this narrow (about 1233 digits) become a Decimal directly
+# at most 603 digits: below the lowest int-to-str limit CPython accepts
+# (sys.int_info.str_digits_check_threshold, 640), so str() always prints it
+_STR_BITS = 2000
 
 FAMILIES = ("chainsaw", "broken")
 
@@ -56,6 +64,11 @@ class ComputationAbandoned(RuntimeError):
     """A computation hit a resource budget: elimination memo entries or printable result size."""
 
 
+def _exact_context() -> Context:
+    """A decimal context that never rounds: any inexact or rounded result raises."""
+    return Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+
 def _to_decimal(piece: int, w: int, powers: dict, ctx: Context | None = None) -> Decimal:
     """0 <= piece < 2^w as an exact Decimal, split at 2^(w/2); `powers` caches 2^k by k.
 
@@ -65,7 +78,7 @@ def _to_decimal(piece: int, w: int, powers: dict, ctx: Context | None = None) ->
     """
     if w <= _BASE_BITS:
         return Decimal(piece)
-    ctx = ctx or Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    ctx = ctx or _exact_context()
     half = w >> 1
     if half not in powers:
         powers[half] = ctx.power(2, half)
@@ -87,18 +100,36 @@ def decimal_text(value: int | list[int]) -> str:
     width = magnitude.bit_length()
     # at least floor((width - 1) * log10(2)) + 1 digits, with log10(2) rounded down
     if (width - 1) * 30102999 // 10**8 < MAX_DIGITS:
-        digits = str(_to_decimal(magnitude, width, {}))
+        digits = str(magnitude) if width <= _STR_BITS else str(_to_decimal(magnitude, width, {}))
         if len(digits) <= MAX_DIGITS:
             return "-" + digits if value < 0 else digits
     raise ComputationAbandoned(f"result has more than {MAX_DIGITS} digits to print")
 
 
 def resolve_brute_cap(cap: int | None) -> int:
-    """`cap` itself, or else the CHAINSAW_BRUTE_CAP environment variable, or else DEFAULT_BRUTE_CAP."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(BRUTE_CAP_ENV, "").strip()
-    return int(env) if env else DEFAULT_BRUTE_CAP
+    """`cap` itself, or else the CHAINSAW_BRUTE_CAP environment variable, or else DEFAULT_BRUTE_CAP.
+
+    A cap below 1, or a variable that is not an integer, is a ValueError
+    naming where it came from.
+    """
+    source = "--brute-cap"
+    if cap is None:
+        env = os.environ.get(BRUTE_CAP_ENV, "").strip()
+        if not env:
+            return DEFAULT_BRUTE_CAP
+        source = BRUTE_CAP_ENV
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
+
+
+def oracle_limit(cap: int | None) -> int:
+    """The largest order the oracle admits: the resolved cap, but never past the kernel's mask limit."""
+    return min(resolve_brute_cap(cap), _kernels._MASK_BIT_LIMIT)
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -106,7 +137,7 @@ def _adjacency_masks(g: Graph) -> list[int]:
 
 
 def _check_cap(g: Graph, cap: int | None) -> None:
-    limit = min(resolve_brute_cap(cap), _kernels._MASK_BIT_LIMIT)
+    limit = oracle_limit(cap)
     if g.order > limit:
         raise OracleCapExceeded(
             f"oracle cap exceeded: graph has {g.order} vertices, cap is {limit}"
@@ -394,6 +425,29 @@ def closed_form_count(params: ChainsawParams, family: str) -> int:
     rather than assuming it here.
     """
     return sum(stratified_closed_form(params, family).values())
+
+
+def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
+    """Coefficients of I(C(n,a,b); x) = V_n(p, q) or I(P(n,a,b); x) = U_{n+2}(p, q), no graph built.
+
+    p = 1 + (a-1) x and q = -x (1 + (b-1) x): the paper's count with weight
+    x on each chosen vertex. The value is taken at x = 10^w by the
+    sequences' index doubling on exact Decimals, w the digit count of
+    i(G) = I(G; 1). Every coefficient is nonnegative and at most i(G), so
+    each is one w-digit slot of the result, and evaluation at 10^w is a
+    ring homomorphism, so the doubling's negative intermediates do no harm.
+    """
+    w = len(decimal_text(closed_form_count(params, family)))
+    with localcontext(_exact_context()):
+        x = Decimal(10) ** w
+        p = 1 + (params.a - 1) * x
+        q = -x * (1 + (params.b - 1) * x)
+        if family == "chainsaw":
+            packed = _by_matrix(params.n, p, q, 2, p)
+        else:
+            packed = _by_matrix(params.n + 2, p, q, 0, 1)
+    digits = str(packed)
+    return [int(Decimal(digits[max(end - w, 0) : end])) for end in range(len(digits), 0, -w)]
 
 
 def family_graph(params: ChainsawParams, family: str) -> Graph:

@@ -102,7 +102,8 @@ def _by_matrix(n: int, p: int, q: int, w0: int, w1: int) -> int:
     M^k = [[U_{k+1}, -q U_k], [U_k, -q U_{k-1}]] is fixed by (U_k, U_{k+1}); on that pair
     squaring is U_{2k} = U_k (2 U_{k+1} - p U_k), U_{2k+1} = U_{k+1}^2 - q U_k^2 (Joye
     and Quisquater 1996) and a step by M is U_{k+2} = p U_{k+1} - q U_k. As M maps
-    (W_k, W_{k-1}) to (W_{k+1}, W_k), W_n = w1 U_n - q w0 U_{n-1}.
+    (W_k, W_{k-1}) to (W_{k+1}, W_k), W_n = w1 U_n - q w0 U_{n-1}. Only +, - and * touch
+    the operands, so exact Decimals work as well as ints.
     """
     if n == 0:
         return w0

@@ -38,6 +38,7 @@ from .counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
+    oracle_limit,
     path_coefficients,
     resolve_brute_cap,
     stratified_closed_form,
@@ -96,7 +97,7 @@ class _Report:
         }
 
 
-def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_cap: int) -> None:
+def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_limit: int) -> None:
     n, a, b = params.n, params.a, params.b
     tag = {"n": n, "a": a, "b": b}
     graph = family_graph(params, family)
@@ -112,8 +113,8 @@ def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_cap
         lucas_name = "U(n+2, a, -b)"
     report.add(f"{label}: elimination == stratified closed form", tag, elim, closed)
     report.add(f"{label}: closed form == {lucas_name}", tag, closed, lucas)
-    if graph.order <= brute_cap:
-        brute = brute_force_strata(graph, cap=brute_cap)
+    if graph.order <= brute_limit:
+        brute = brute_force_strata(graph, cap=brute_limit)
         closed_strata = stratified_closed_form(params, family)
         report.add(
             f"{family} strata: brute force == closed form",
@@ -156,12 +157,14 @@ def run_verification(
 ) -> dict:
     """Run the full identity sweep; returns the report as a plain dict.
 
-    Strata rows cover the graphs within the oracle's cap, resolved as the
-    oracle resolves it when `brute_cap` is None.
+    Strata rows cover the graphs the oracle admits: within its cap, resolved
+    as the oracle resolves it when `brute_cap` is None, and within the
+    kernel's mask limit.
     """
     if n_max < 1 or a_max < 1:
         raise ValueError(f"sweep bounds must be at least 1, got n_max={n_max}, a_max={a_max}")
     brute_cap = resolve_brute_cap(brute_cap)
+    brute_limit = oracle_limit(brute_cap)
     report = _Report()
     for n in range(1, n_max + 1):
         _sweep_path_cycle(report, n)
@@ -170,7 +173,7 @@ def run_verification(
             for b in range(1, a + 1):
                 params = ChainsawParams(n, a, b)
                 for family in ("chainsaw", "broken"):
-                    _sweep_tuple(report, params, family, brute_cap)
+                    _sweep_tuple(report, params, family, brute_limit)
                 _sweep_sequences(report, params)
     if inject is not None:
         p = inject.params

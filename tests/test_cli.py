@@ -7,7 +7,13 @@ import sys
 import pytest
 
 from chainsaw.cli import main
-from chainsaw.counting import BRUTE_CAP_ENV, DEFAULT_BRUTE_CAP, cycle_coefficients, family_graph
+from chainsaw.counting import (
+    BRUTE_CAP_ENV,
+    DEFAULT_BRUTE_CAP,
+    closed_form_polynomial,
+    cycle_coefficients,
+    family_graph,
+)
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import lucas_U, lucas_V
 
@@ -121,6 +127,22 @@ class TestPoly:
     def test_frozen_examples(self, capsys, argv, expected):
         rc, out, _ = run_cli(capsys, *argv)
         assert (rc, out) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--family", "path", "--n", "6"], "[1, 6, 10, 4]\n"),
+            (["--family", "cycle", "--n", "6"], "[1, 6, 9, 2]\n"),
+            (["--family", "chainsaw", "--n", "3", "--a", "3", "--b", "2"], "[1, 9, 21, 14]\n"),
+            (["--family", "broken", "--n", "5", "--a", "3", "--b", "2"], "[1, 17, 111, 357, 601, 507, 169]\n"),
+        ],
+    )
+    def test_no_family_reaches_elimination(self, capsys, monkeypatch, argv, expected):
+        def refuse(*_):
+            raise AssertionError("poly ran elimination")
+
+        monkeypatch.setattr("chainsaw.counting._eliminate", refuse)
+        assert run_cli(capsys, "poly", *argv) == (0, expected, "")
 
 
 class TestSeq:
@@ -254,6 +276,49 @@ class TestVerify:
         monkeypatch.setenv(BRUTE_CAP_ENV, "9")
         assert strata_orders() == (9, 9)
         assert strata_orders("--brute-cap", "5") == (5, 5)
+
+    def test_strata_rows_stop_at_the_kernel_mask_limit(self, capsys, monkeypatch):
+        # a cap above what the oracle's masks hold skips the larger graphs, not the sweep
+        monkeypatch.setattr("chainsaw._kernels._MASK_BIT_LIMIT", 10)
+        rc, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--a-max", "3", "--brute-cap", "20")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["summary"]["all_pass"] is True
+        assert report["parameters"]["brute_cap"] == 20
+        grid = [(n, a, b) for n in range(1, 5) for a in range(1, 4) for b in range(1, a + 1)]
+        for family in ("chainsaw", "broken"):
+            rows = sorted(
+                tuple(c["params"].values())
+                for c in report["checks"]
+                if c["identity"] == f"{family} strata: brute force == closed form"
+            )
+            orders = {t: family_graph(ChainsawParams(*t), family).order for t in grid}
+            assert rows == sorted(t for t in grid if orders[t] <= 10)
+            assert max(orders.values()) > 10
+
+    @pytest.mark.parametrize(
+        "env,message",
+        [
+            ("-3", "CHAINSAW_BRUTE_CAP must be at least 1, got -3"),
+            ("0", "CHAINSAW_BRUTE_CAP must be at least 1, got 0"),
+            ("abc", "CHAINSAW_BRUTE_CAP must be an integer, got 'abc'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["verify", "--n-max", "2", "--a-max", "1"],
+                                         ["count", "--family", "path", "--n", "3", "--method", "brute"]])
+    def test_bad_brute_cap_variable_exits_2(self, capsys, monkeypatch, env, message, command):
+        monkeypatch.setenv(BRUTE_CAP_ENV, env)
+        assert run_cli(capsys, *command) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cap", ["-3", "0"])
+    def test_brute_cap_option_below_one_exits_2(self, capsys, cap):
+        rc, out, err = run_cli(capsys, "verify", "--n-max", "2", "--a-max", "1", "--brute-cap", cap)
+        assert (rc, out, err) == (2, "", f"error: --brute-cap must be at least 1, got {cap}\n")
+
+    def test_brute_cap_option_not_an_integer_exits_2(self, capsys):
+        rc, out, err = usage_error(capsys, "verify", "--n-max", "2", "--a-max", "1", "--brute-cap", "abc")
+        assert (rc, out) == (2, "")
+        assert "argument --brute-cap: invalid int value: 'abc'" in err
 
     def test_injection_flags_must_come_together(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--n-max", "1", "--a-max", "1", "--inject-n", "4")
@@ -428,6 +493,10 @@ class TestInterpreterState:
         # CLI runs under the caller's limit with no way to change it
         seq = f"{lucas_V(30000, 7, -3)}\n"  # about 26k digits
         poly = "[" + ", ".join(str(c) for c in cycle_coefficients(400)) + "]\n"
+        # 1201 coefficients, most of them past 640 digits
+        saw = closed_form_polynomial(ChainsawParams(1200, 4, 2), "chainsaw")
+        assert max(saw).bit_length() > 2200
+        saw_poly = "[" + ", ".join(str(c) for c in saw) + "]\n"
         path_count = str(lucas_U(3502, 1, -1))  # i(path of 3500 vertices), 732 digits
         graph = tmp_path / "path.json"
         graph.write_text(export_graph(make_path(3500), "json"), encoding="utf-8")
@@ -440,6 +509,8 @@ class TestInterpreterState:
         assert run_cli(capsys, "seq", "--kind", "V", "--n", "30000", "--p", "7", "--q=-3",
                        "--method", "matrix") == (0, seq, "")
         assert run_cli(capsys, "poly", "--family", "cycle", "--n", "400") == (0, poly, "")
+        assert run_cli(capsys, "poly", "--family", "chainsaw", "--n", "1200", "--a", "4",
+                       "--b", "2") == (0, saw_poly, "")
         rc, out, err = run_cli(
             capsys, "verify", "--n-max", "1", "--a-max", "1",
             "--inject-graph", str(graph), "--inject-family", "chainsaw",

@@ -1,5 +1,6 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
+import decimal
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from chainsaw.counting import (
     OracleCapExceeded,
     brute_force_strata,
     closed_form_count,
+    closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
     cycle_coefficient,
@@ -22,6 +24,7 @@ from chainsaw.counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
+    oracle_limit,
     path_coefficient,
     path_coefficients,
     stratified_closed_form,
@@ -69,6 +72,27 @@ class TestBruteForce:
         assert count_brute_force(make_path(6)) == 21
         with pytest.raises(OracleCapExceeded):
             count_brute_force(make_path(7))
+
+    @pytest.mark.parametrize("env", ["-3", "0", "abc", "2.5"])
+    def test_a_bad_env_cap_is_a_value_error_naming_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv(BRUTE_CAP_ENV, env)
+        with pytest.raises(ValueError, match=f"^{BRUTE_CAP_ENV} must be"):
+            count_brute_force(make_path(3))
+
+    @pytest.mark.parametrize("cap", [-3, 0])
+    def test_a_cap_below_one_is_a_value_error(self, cap):
+        with pytest.raises(ValueError, match=f"^--brute-cap must be at least 1, got {cap}$"):
+            brute_force_strata(make_path(3), cap=cap)
+
+    def test_oracle_limit_is_the_cap_within_the_mask_limit(self, monkeypatch):
+        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+        assert oracle_limit(None) == 26
+        assert oracle_limit(30) == 30
+        assert oracle_limit(50) == 48
+        monkeypatch.setattr("chainsaw._kernels._MASK_BIT_LIMIT", 10)
+        assert oracle_limit(20) == 10
+        with pytest.raises(OracleCapExceeded, match="11 vertices, cap is 10"):
+            count_brute_force(make_path(11), cap=20)
 
     def test_strata_honors_the_cap(self):
         with pytest.raises(OracleCapExceeded):
@@ -187,6 +211,45 @@ class TestFamilyProperties:
         assert count == want
         assert sum(poly) == count
         assert (poly + [0])[1] == g.order - len(g.loops)  # C(1, a, b) may have no free vertex
+
+
+class TestClosedFormPolynomial:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["chainsaw", "broken"]),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    def test_matches_elimination(self, family, n, a, data):
+        b = data.draw(st.integers(min_value=1, max_value=a), label="b")
+        params = ChainsawParams(n, a, b)
+        poly = closed_form_polynomial(params, family)
+        assert poly == independence_polynomial(family_graph(params, family))
+        assert sum(poly) == closed_form_count(params, family)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=400))
+    def test_unit_blades_give_the_cycle_and_the_path(self, n):
+        # P(n, 1, 1) is the n-vertex path, C(n, 1, 1) the n-cycle
+        unit = ChainsawParams(n, 1, 1)
+        assert closed_form_polynomial(unit, "chainsaw") == cycle_coefficients(n)
+        assert closed_form_polynomial(unit, "broken") == path_coefficients(n)
+
+    def test_frozen_examples(self):
+        assert closed_form_polynomial(ChainsawParams(5, 3, 2), "broken") == [1, 17, 111, 357, 601, 507, 169]
+        assert closed_form_polynomial(ChainsawParams(1, 1, 1), "chainsaw") == [1]
+        assert closed_form_polynomial(ChainsawParams(1, 4, 2), "chainsaw") == [1, 3]
+
+    def test_never_touches_the_default_decimal_context(self):
+        context = decimal.getcontext()
+        saved = (context.prec, context.Emax, dict(context.traps), dict(context.flags))
+        closed_form_polynomial(ChainsawParams(300, 5, 3), "broken")
+        assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == saved
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="family"):
+            closed_form_polynomial(ChainsawParams(2, 2, 1), "circular")
 
 
 def _binomial_cycle_weight(n, t):
@@ -346,6 +409,16 @@ class TestDecimalText:
                 else:
                     with pytest.raises(ComputationAbandoned):
                         decimal_text(value)
+
+    @pytest.mark.parametrize("limit", [640, 0])  # the lowest limit Python accepts, and no limit
+    def test_values_either_side_of_the_str_cutoff(self, no_int_limit, limit):
+        # 2^2000 (603 digits) and below go to str(), wider values are split first
+        values = [2**2000 - 1, 2**2000, 2**2000 + 1, 2**2001]
+        texts = [str(v) for v in values]
+        sys.set_int_max_str_digits(limit)
+        for value, text in zip(values, texts):
+            assert decimal_text(value) == text
+            assert decimal_text(-value) == "-" + text
 
     def test_default_budget_is_two_million_digits(self):
         # 2^6700000 has 2016900 digits: refused from its bit length alone
