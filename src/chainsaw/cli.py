@@ -1,8 +1,8 @@
 """Command-line surface: generate graphs, count, evaluate sequences, verify.
 
 Exit status contract: 0 success, 1 verification disagreement, 2 usage
-error, 3 resource cap (oracle cap exceeded, computation abandoned, or a
-result of more than ``counting.MAX_DIGITS`` digits to print).
+error, 3 resource cap (oracle cap exceeded, computation abandoned, out of
+memory, or a result of more than ``counting.MAX_DIGITS`` digits to print).
 All output is written to stdout and is byte-deterministic for identical
 invocations. Every integer printed goes through ``counting.decimal_text``,
 so no interpreter setting changes what prints.
@@ -189,6 +189,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (OracleCapExceeded, ComputationAbandoned) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

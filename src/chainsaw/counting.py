@@ -23,6 +23,9 @@ and a fourth that lifts the closed form to the whole polynomial:
   U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'
   index doubling at the packed point x = 10^w (Kronecker substitution).
 
+Each family's encoding, its graph and its Dickson kind and index (chainsaw
+D_n = V_n, broken E_{n+1} = U_{n+2}), is one row of the table ``_ENCODING``.
+
 Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
 the command line prints.
@@ -38,7 +41,7 @@ from typing import Callable
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import _by_matrix, _dickson_terms, binom
+from .sequences import _by_matrix, _dickson_terms, _seeds, binom
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -51,7 +54,12 @@ _BASE_BITS = 4096  # pieces this narrow (about 1233 digits) become a Decimal dir
 # (sys.int_info.str_digits_check_threshold, 640), so str() always prints it
 _STR_BITS = 2000
 
-FAMILIES = ("chainsaw", "broken")
+# family -> (Dickson kind, index shift, generator). A generator is looked up by name
+# when called, so a wrapper put on that name (as by a tracer) sees every build.
+_ENCODING = {
+    "chainsaw": ("D", 0, lambda params: make_chainsaw(params)),
+    "broken": ("E", 1, lambda params: make_broken_chainsaw(params)),
+}
 
 PivotRule = Callable[[int, list[int]], int]
 
@@ -397,9 +405,11 @@ def cycle_coefficients(n: int) -> list[int]:
     return _dickson_terms("D", n, 1, -1)
 
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+def _family(family: str) -> tuple[str, int, Callable[[ChainsawParams], Graph]]:
+    try:
+        return _ENCODING[family]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(_ENCODING)}") from None
 
 
 def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int]:
@@ -412,9 +422,8 @@ def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int
     usable states and the remaining blades with a (one blade vertex or
     none), which is where the powers come from.
     """
-    _check_family(family)
-    kind, m = ("D", params.n) if family == "chainsaw" else ("E", params.n + 1)
-    return dict(enumerate(_dickson_terms(kind, m, params.a, -params.b)))
+    kind, shift, _ = _family(family)
+    return dict(enumerate(_dickson_terms(kind, params.n + shift, params.a, -params.b)))
 
 
 def closed_form_count(params: ChainsawParams, family: str) -> int:
@@ -437,22 +446,17 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
     each is one w-digit slot of the result, and evaluation at 10^w is a
     ring homomorphism, so the doubling's negative intermediates do no harm.
     """
+    kind, shift, _ = _family(family)
     w = len(decimal_text(closed_form_count(params, family)))
     with localcontext(_exact_context()):
         x = Decimal(10) ** w
         p = 1 + (params.a - 1) * x
         q = -x * (1 + (params.b - 1) * x)
-        if family == "chainsaw":
-            packed = _by_matrix(params.n, p, q, 2, p)
-        else:
-            packed = _by_matrix(params.n + 2, p, q, 0, 1)
+        packed = _by_matrix(params.n + shift, p, q, *_seeds(kind, p))
     digits = str(packed)
     return [int(Decimal(digits[max(end - w, 0) : end])) for end in range(len(digits), 0, -w)]
 
 
 def family_graph(params: ChainsawParams, family: str) -> Graph:
     """The generated graph a closed form refers to."""
-    _check_family(family)
-    if family == "chainsaw":
-        return make_chainsaw(params)
-    return make_broken_chainsaw(params)
+    return _family(family)[2](params)

@@ -7,8 +7,10 @@ set, never inside the adjacency lists; a looped vertex can join no
 independent set.
 
 Generated graphs use a canonical numbering: chain vertices first
-(0..n-1), then blade vertices grouped by blade in increasing blade order.
-This keeps exports and memo keys reproducible.
+(0..n-1), then the blades in order, a-1 vertices each. Chain vertex v owns
+blade v of C(n, a, b). P(n, a, b), C(n+1, a, b) minus chain vertex 0 and
+renumbered in order, starts with the ownerless blade 0, and v owns blade
+v+1. This keeps exports and memo keys reproducible.
 """
 
 from __future__ import annotations
@@ -171,10 +173,21 @@ def make_cycle(n: int) -> Graph:
     return make_chainsaw(ChainsawParams(n, 1, 1))
 
 
-def _blade_members(params: ChainsawParams, v: int) -> list[int]:
-    """Fresh blade vertices owned by chain vertex v, in index order."""
-    n, a = params.n, params.a
-    return list(range(n + v * (a - 1), n + (v + 1) * (a - 1)))
+def _saw(params: ChainsawParams, broken: bool) -> Graph:
+    """C(n, a, b), or P(n, a, b) when `broken`, in the canonical numbering, in one pass."""
+    n, a, b = params.n, params.a, params.b
+    blades = n + broken
+    # Graph.build reads the cycle's (0, 0) at n = 1 as the loop and its (1, 0) at n = 2 as (0, 1)
+    edges = [(v, (v + 1) % n) for v in range(n - broken)]
+    for j in range(blades):
+        start = n + j * (a - 1)
+        owner = [j - broken] if j >= broken else []
+        edges.extend(combinations(owner + list(range(start, start + a - 1)), 2))
+    for v in range(n):
+        start = n + (v + broken + 1) % blades * (a - 1)
+        edges.extend((v, w) for w in range(start, start + a - b))
+    roles = (CHAIN,) * n + (BLADE,) * (blades * (a - 1))
+    return Graph.build(n + blades * (a - 1), edges, (), roles)
 
 
 def make_chainsaw(params: ChainsawParams) -> Graph:
@@ -182,46 +195,21 @@ def make_chainsaw(params: ChainsawParams) -> Graph:
 
     Chain vertices 0..n-1 form an n-cycle (with the 1-vertex loop and
     2-vertex single-edge conventions). Each chain vertex v is completed to
-    an a-clique by a-1 fresh blade vertices, and is additionally wired to
-    the a-b lowest-indexed blade vertices of the clique owned by chain
-    vertex (v+1) mod n. For n = 1 those extra edges fall inside the only
-    blade and collapse into the existing clique edges.
+    an a-clique by its blade of a-1 vertices and wired to the a-b
+    lowest-indexed vertices of the next blade, that of (v+1) mod n; for
+    n = 1 these fall inside the only clique and collapse into its edges.
     """
-    n, a, b = params.n, params.a, params.b
-    edges: list[tuple[int, int]] = []
-    loops: list[int] = []
-    if n == 1:
-        loops.append(0)
-    elif n == 2:
-        edges.append((0, 1))
-    else:
-        edges.extend((v, (v + 1) % n) for v in range(n))
-    for v in range(n):
-        clique = [v] + _blade_members(params, v)
-        edges.extend(combinations(clique, 2))
-        for w in _blade_members(params, (v + 1) % n)[: a - b]:
-            edges.append((v, w))
-    roles = (CHAIN,) * n + (BLADE,) * (n * (a - 1))
-    return Graph.build(n * a, edges, loops, roles)
-
-
-def _delete_vertex(g: Graph, victim: int) -> Graph:
-    """New graph with `victim` and its incident edges removed, indices compacted."""
-    remap = {v: i for i, v in enumerate(u for u in range(g.order) if u != victim)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges() if victim not in (u, v)]
-    loops = [remap[v] for v in g.loops if v != victim]
-    roles = tuple(g.roles[v] for v in range(g.order) if v != victim)
-    return Graph.build(g.order - 1, edges, loops, roles)
+    return _saw(params, False)
 
 
 def make_broken_chainsaw(params: ChainsawParams) -> Graph:
-    """Build the broken chainsaw P(n, a, b): C(n+1, a, b) minus chain vertex 0.
+    """Build the broken chainsaw P(n, a, b): C(n+1, a, b) minus chain vertex 0, renumbered in order.
 
-    The orphaned blade keeps its remaining a-1 vertices as a clique.
-    Surviving vertices are re-compacted, preserving the canonical order.
+    Built directly: the chain is a path, the orphaned blade 0 is a clique of
+    its a-1 vertices, and chain vertex v owns blade v+1 and is wired to the
+    a-b lowest-indexed vertices of the next blade, blade 0 for v = n-1.
     """
-    bigger = ChainsawParams(params.n + 1, params.a, params.b)
-    return _delete_vertex(make_chainsaw(bigger), 0)
+    return _saw(params, True)
 
 
 def export_graph(g: Graph, fmt: str) -> str:
@@ -249,15 +237,19 @@ def export_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 
 
+def _pair(edge) -> tuple:
+    if type(edge) is not list or len(edge) != 2:
+        raise TypeError(f"edge {edge!r} is not a pair")
+    return tuple(edge)
+
+
 def graph_from_json(text: str) -> Graph:
-    """Rebuild a graph from its json export."""
-    obj = json.loads(text)
+    """Rebuild a graph from its json export; anything else is a ValueError."""
     try:
-        return Graph.build(
-            order=obj["order"],
-            edges=[tuple(e) for e in obj["edges"]],
-            loops=obj["loops"],
-            roles=obj["roles"],
-        )
-    except (KeyError, TypeError) as exc:
+        obj = json.loads(text)
+        order, edges, loops, roles = obj["order"], obj["edges"], obj["loops"], obj["roles"]
+        if type(roles) is not list:
+            raise TypeError(f"roles must be a list, got {roles!r}")
+        return Graph.build(order, [_pair(e) for e in edges], loops, roles)
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed graph json: {exc}") from exc

@@ -3,12 +3,13 @@
 Everything here re-derives its answer straight from the definition of an
 independent set, by scanning vertex subsets with itertools. No code is
 shared with the package engines, so agreement between an engine and a
-reference is a genuine cross-check rather than a tautology.
+reference is a genuine cross-check rather than a tautology. The broken
+chainsaw likewise comes from its definition, by deleting a vertex.
 """
 
 import itertools
 
-from chainsaw.graphs import BLADE, CHAIN, Graph
+from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_chainsaw
 
 
 def independent_subsets(g):
@@ -52,3 +53,11 @@ def random_graph(rng, max_order=12, loop_prob=0.1):
     loops = [v for v in range(order) if rng.random() < loop_prob]
     roles = tuple(rng.choice((CHAIN, BLADE)) for _ in range(order))
     return Graph.build(order, edges, loops, roles)
+
+
+def reference_broken_chainsaw(params):
+    """P(n, a, b) as the paper defines it: C(n+1, a, b) minus chain vertex 0, renumbered in order."""
+    g = make_chainsaw(ChainsawParams(params.n + 1, params.a, params.b))
+    edges = [(u - 1, v - 1) for u, v in g.edges() if 0 not in (u, v)]
+    loops = [v - 1 for v in g.loops if v != 0]
+    return Graph.build(g.order - 1, edges, loops, g.roles[1:])

@@ -16,6 +16,7 @@ from chainsaw.counting import (
 )
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import lucas_U, lucas_V
+from helpers import reference_broken_chainsaw
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +50,14 @@ class TestGenerate:
         rc, _, err = run_cli(capsys, "generate", "--family", "path", "--n", "3", "--a", "2")
         assert rc == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "dimacs", "json"])
+    @pytest.mark.parametrize("n,a,b", [(1, 1, 1), (1, 2, 1), (3, 3, 3), (5, 3, 2), (7, 4, 1)])
+    def test_broken_prints_the_reference_bytes(self, capsys, fmt, n, a, b):
+        expected = export_graph(reference_broken_chainsaw(ChainsawParams(n, a, b)), fmt)
+        rc, out, _ = run_cli(capsys, "generate", "--family", "broken", "--n", str(n), "--a", str(a),
+                             "--b", str(b), "--format", fmt)
+        assert (rc, out) == (0, expected)
 
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -113,6 +122,14 @@ class TestCount:
         rc, _, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3")
         assert rc == 2
         assert "requires --a and --b" in err
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(params, family):
+            raise MemoryError
+
+        monkeypatch.setattr("chainsaw.cli.family_graph", exhausted)
+        rc, out, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3000000", "--a", "3", "--b", "2")
+        assert (rc, out, err) == (3, "", "error: out of memory\n")
 
 
 class TestPoly:
@@ -387,6 +404,17 @@ class TestVerify:
         )
         assert rc == 2
         assert "malformed" in err
+
+    def test_deeply_nested_injection_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        rc, out, err = run_cli(
+            capsys, "verify", "--n-max", "1", "--a-max", "1",
+            "--inject-graph", str(path), "--inject-family", "chainsaw",
+            "--inject-n", "4", "--inject-a", "2", "--inject-b", "1",
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: malformed graph json: ") and err.count("\n") == 1
 
     def test_injected_vertex_that_is_not_an_int_exits_2(self, capsys, tmp_path):
         path = tmp_path / "half.json"

@@ -361,9 +361,30 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="family"):
             family_graph(ChainsawParams(2, 2, 1), "circular")
 
+    @pytest.mark.parametrize("family", ["circular", ["chainsaw"]])
+    def test_unknown_family_message_is_exact(self, family):
+        expected = f"unknown family {family!r}; expected one of ('chainsaw', 'broken')"
+        for route in (stratified_closed_form, closed_form_polynomial, family_graph):
+            with pytest.raises(ValueError) as exc:
+                route(ChainsawParams(2, 2, 1), family)
+            assert str(exc.value) == expected
+
     def test_family_graph_shapes(self):
         assert family_graph(ChainsawParams(3, 4, 2), "chainsaw").order == 12
         assert family_graph(ChainsawParams(3, 4, 2), "broken").order == 15
+
+    def test_family_graph_calls_the_generators_by_name(self, monkeypatch):
+        # a wrapper put on the module's names, as the benchmark's tracer does, sees every build
+        built = []
+        for name, original in (("make_chainsaw", make_chainsaw), ("make_broken_chainsaw", make_broken_chainsaw)):
+            def spy(params, name=name, original=original):
+                built.append(name)
+                return original(params)
+
+            monkeypatch.setattr(f"chainsaw.counting.{name}", spy)
+        family_graph(ChainsawParams(3, 2, 1), "chainsaw")
+        family_graph(ChainsawParams(3, 2, 1), "broken")
+        assert built == ["make_chainsaw", "make_broken_chainsaw"]
 
 
 _CUTOFF_BITS = 4096  # counting._BASE_BITS: wider values are split before conversion

@@ -20,6 +20,7 @@ from chainsaw.graphs import (
     make_cycle,
     make_path,
 )
+from helpers import reference_broken_chainsaw
 
 
 def expected_chainsaw_size(n: int, a: int, b: int) -> int:
@@ -193,6 +194,13 @@ class TestBrokenChainsaw:
             assert g.chain_vertices() == tuple(range(n))
             assert g.loops == frozenset()
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_matches_the_reference_definition(self, a):
+        for n in range(1, 31):
+            for b in range(1, a + 1):
+                params = ChainsawParams(n, a, b)
+                assert make_broken_chainsaw(params) == reference_broken_chainsaw(params)
+
     def test_orphaned_blade_survives_as_clique(self):
         # b = a means no extra edges, so blade 0 of C(3, 3, 3) loses its
         # chain vertex and survives as an isolated K_2
@@ -355,7 +363,16 @@ class TestExport:
             export_graph(make_path(2), "graphml")
 
     @pytest.mark.parametrize(
-        "text", ['{"order": 2}', "[1, 2]", '"graph"', '{"order": 2.0, "edges": [], "loops": [], "roles": []}']
+        "text",
+        [
+            '{"order": 2}',
+            "[1, 2]",
+            '"graph"',
+            '{"order": 2.0, "edges": [], "loops": [], "roles": []}',
+            pytest.param("[" * 200_000, id="nested-200000-deep"),
+            pytest.param('{"order": 3, "edges": [[0, 1, 2]], "loops": [], "roles": []}', id="edge-not-a-pair"),
+            pytest.param('{"order": 2, "edges": [[0, 1]], "loops": [], "roles": null}', id="roles-null"),
+        ],
     )
     def test_malformed_json_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="malformed"):
