@@ -1,10 +1,11 @@
 """Exact independent-set counting on chainsaw graph families.
 
-The package builds paths, cycles, chainsaw graphs C(n, a, b) and broken
-chainsaws P(n, a, b); counts their independent sets with three mutually
-cross-checking engines (brute-force enumeration, memoized elimination,
-binomial closed forms); and evaluates the Lucas sequences and Dickson
-polynomials those counts realize.
+The package builds chainsaw graphs C(n, a, b) and broken chainsaws
+P(n, a, b), the n-vertex cycle and path being C(n, 1, 1) and P(n, 1, 1);
+counts their independent sets with three mutually cross-checking engines
+(brute-force enumeration, memoized elimination, binomial closed forms);
+and evaluates the Lucas sequences and Dickson polynomials those counts
+realize.
 """
 
 from .counting import (
@@ -15,12 +16,8 @@ from .counting import (
     closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
-    cycle_coefficient,
-    cycle_coefficients,
     family_graph,
     independence_polynomial,
-    path_coefficient,
-    path_coefficients,
     stratified_closed_form,
 )
 from .graphs import (
@@ -63,8 +60,6 @@ __all__ = [
     "closed_form_polynomial",
     "count_brute_force",
     "count_via_elimination",
-    "cycle_coefficient",
-    "cycle_coefficients",
     "dickson_D_sum",
     "dickson_E_sum",
     "evaluate",
@@ -78,8 +73,6 @@ __all__ = [
     "make_chainsaw",
     "make_cycle",
     "make_path",
-    "path_coefficient",
-    "path_coefficients",
     "run_verification",
     "stratified_closed_form",
     "__version__",

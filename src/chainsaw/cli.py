@@ -21,79 +21,47 @@ from .counting import (
     closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
-    cycle_coefficients,
     decimal_text,
     family_graph,
-    path_coefficients,
 )
-from .graphs import (
-    ChainsawParams,
-    EXPORT_FORMATS,
-    Graph,
-    export_graph,
-    graph_from_json,
-    make_cycle,
-    make_path,
-)
+from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_json
 from .sequences import METHODS, SequenceSpec, evaluate
 from .verify import InjectedGraph, run_verification
 
 GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
 COUNT_METHODS = ("brute", "eliminate", "closed-form")
+_UNIT_ROWS = {"path": "broken", "cycle": "chainsaw"}  # the a = b = 1 rows of the family table
 
 
-def _family_params(family: str, n: int, a: int | None, b: int | None) -> ChainsawParams | None:
-    """Checked (n, a, b) for chainsaw and broken; None for path and cycle, which take no --a/--b."""
-    if family in ("path", "cycle"):
-        if a is not None or b is not None:
+def _family_params(args) -> tuple[ChainsawParams, str]:
+    """Checked (params, table family): path and cycle, which take no --a/--b, are P and C at (n, 1, 1)."""
+    if args.family in _UNIT_ROWS:
+        if args.a is not None or args.b is not None:
             raise ValueError("--a and --b apply only to the chainsaw and broken families")
-        return None
-    if a is None or b is None:
-        raise ValueError(f"family {family!r} requires --a and --b")
-    return ChainsawParams(n, a, b)
-
-
-def _build_graph(family: str, n: int, a: int | None, b: int | None) -> Graph:
-    params = _family_params(family, n, a, b)
-    if params is None:
-        return make_path(n) if family == "path" else make_cycle(n)
-    return family_graph(params, family)
-
-
-def _plain_coefficients(family: str, n: int) -> list[int]:
-    return path_coefficients(n) if family == "path" else cycle_coefficients(n)
-
-
-def _closed_form(family: str, n: int, a: int | None, b: int | None) -> int:
-    params = _family_params(family, n, a, b)
-    if params is None:
-        return sum(_plain_coefficients(family, n))
-    return closed_form_count(params, family)
+        return ChainsawParams(args.n, 1, 1), _UNIT_ROWS[args.family]
+    if args.a is None or args.b is None:
+        raise ValueError(f"family {args.family!r} requires --a and --b")
+    return ChainsawParams(args.n, args.a, args.b), args.family
 
 
 def _cmd_generate(args) -> int:
-    graph = _build_graph(args.family, args.n, args.a, args.b)
-    sys.stdout.write(export_graph(graph, args.format))
+    sys.stdout.write(export_graph(family_graph(*_family_params(args)), args.format))
     return 0
 
 
 def _cmd_count(args) -> int:
+    params, family = _family_params(args)
     if args.method == "closed-form":
-        value = _closed_form(args.family, args.n, args.a, args.b)
+        value = closed_form_count(params, family)
     else:
         engine = count_brute_force if args.method == "brute" else count_via_elimination
-        value = engine(_build_graph(args.family, args.n, args.a, args.b))
+        value = engine(family_graph(params, family))
     print(decimal_text(value))
     return 0
 
 
 def _cmd_poly(args) -> int:
-    params = _family_params(args.family, args.n, args.a, args.b)
-    if params is None:
-        coefficients = _plain_coefficients(args.family, args.n)
-    else:
-        coefficients = closed_form_polynomial(params, args.family)
-    print(decimal_text(coefficients))
+    print(decimal_text(closed_form_polynomial(*_family_params(args))))
     return 0
 
 

@@ -22,9 +22,12 @@ and a fourth that lifts the closed form to the whole polynomial:
   as a Lucas value, I(C(n,a,b); x) = V_n(p, q) and I(P(n,a,b); x) =
   U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'
   index doubling at the packed point x = 10^w (Kronecker substitution).
+  At a = 1 there are no blades, so the strata are the coefficients.
 
 Each family's encoding, its graph and its Dickson kind and index (chainsaw
 D_n = V_n, broken E_{n+1} = U_{n+2}), is one row of the table ``_ENCODING``.
+The n-vertex cycle and path are its rows at (n, 1, 1). A row admits n from
+1 - its index shift: C(n, a, b) from n = 1, P(n, a, b) from n = 0.
 
 Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
@@ -41,7 +44,7 @@ from typing import Callable
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import _by_matrix, _dickson_terms, _seeds, binom
+from .sequences import _by_matrix, _dickson_terms, _seeds
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -372,57 +375,28 @@ def count_via_elimination(
     return _eliminate(g, 1, operator.add, _identity, operator.mul, pivot_rule, max_states)
 
 
-def path_coefficient(n: int, t: int) -> int:
-    """Independent sets of size t in the n-vertex path: C(n-t+1, t)."""
-    return binom(n - t + 1, t)
-
-
-def cycle_coefficient(n: int, t: int) -> int:
-    """Independent sets of size t in the n-vertex cycle (n >= 1).
-
-    The textbook weight n/(n-t) * C(n-t, t) is evaluated as
-    C(n-t, t) + C(n-t-1, t-1), the split into sets avoiding and containing
-    a fixed vertex, so the arithmetic never leaves the integers. Values of
-    t beyond floor(n/2) fall out as 0; t = n (where the textbook form
-    degenerates) cannot carry a nonzero set for n > 1.
-    """
-    if n < 1:
-        raise ValueError(f"cycle length must be at least 1, got {n}")
-    return binom(n - t, t) + binom(n - t - 1, t - 1)
-
-
-def path_coefficients(n: int) -> list[int]:
-    """Full coefficient list for the n-vertex path: the summands of E_{n+1}(1, -1)."""
-    if n < 0:
-        raise ValueError(f"path length must be nonnegative, got {n}")
-    return _dickson_terms("E", n + 1, 1, -1)
-
-
-def cycle_coefficients(n: int) -> list[int]:
-    """Full coefficient list for the n-vertex cycle: the summands of D_n(1, -1)."""
-    if n < 1:
-        raise ValueError(f"cycle length must be at least 1, got {n}")
-    return _dickson_terms("D", n, 1, -1)
-
-
-def _family(family: str) -> tuple[str, int, Callable[[ChainsawParams], Graph]]:
+def _family(params: ChainsawParams, family: str) -> tuple[str, int, Callable[[ChainsawParams], Graph]]:
+    """The family's row of ``_ENCODING``, once `params` is known to be in its domain."""
     try:
-        return _ENCODING[family]
+        kind, shift, generator = _ENCODING[family]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_ENCODING)}") from None
+    if params.n + shift < 1:
+        raise ValueError(f"family {family!r} requires n >= {1 - shift}, got n={params.n}")
+    return kind, shift, generator
 
 
 def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int]:
     """Closed-form strata: entry t counts independent sets using t chain vertices.
 
-    chainsaw: cycle_coefficient(n, t) * b^t * a^(n-2t)      for t <= floor(n/2)
-    broken:   path_coefficient(n, t)  * b^t * a^(n-2t+1)    for t <= floor((n+1)/2)
+    chainsaw: (C(n-t, t) + C(n-t-1, t-1)) * b^t * a^(n-2t)   for t <= floor(n/2)
+    broken:   C(n-t+1, t) * b^t * a^(n-2t+1)                 for t <= floor((n+1)/2)
 
     Picking t pairwise non-adjacent chain vertices leaves t blades with b
     usable states and the remaining blades with a (one blade vertex or
     none), which is where the powers come from.
     """
-    kind, shift, _ = _family(family)
+    kind, shift, _ = _family(params, family)
     return dict(enumerate(_dickson_terms(kind, params.n + shift, params.a, -params.b)))
 
 
@@ -445,8 +419,13 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
     i(G) = I(G; 1). Every coefficient is nonnegative and at most i(G), so
     each is one w-digit slot of the result, and evaluation at 10^w is a
     ring homomorphism, so the doubling's negative intermediates do no harm.
+
+    At a = 1 (so b = 1) there are no blade vertices: every vertex is a chain
+    vertex, the strata are the coefficients, and nothing is packed.
     """
-    kind, shift, _ = _family(family)
+    if params.a == 1:
+        return list(stratified_closed_form(params, family).values())
+    kind, shift, _ = _family(params, family)
     w = len(decimal_text(closed_form_count(params, family)))
     with localcontext(_exact_context()):
         x = Decimal(10) ** w
@@ -459,4 +438,4 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
 
 def family_graph(params: ChainsawParams, family: str) -> Graph:
     """The generated graph a closed form refers to."""
-    return _family(family)[2](params)
+    return _family(params, family)[2](params)

@@ -8,9 +8,11 @@ independent set.
 
 Generated graphs use a canonical numbering: chain vertices first
 (0..n-1), then the blades in order, a-1 vertices each. Chain vertex v owns
-blade v of C(n, a, b). P(n, a, b), C(n+1, a, b) minus chain vertex 0 and
-renumbered in order, starts with the ownerless blade 0, and v owns blade
-v+1. This keeps exports and memo keys reproducible.
+blade v of C(n, a, b), n >= 1. P(n, a, b), C(n+1, a, b) minus chain vertex
+0 and renumbered in order, starts with the ownerless blade 0, and v owns
+blade v+1; P(0, a, b) is that blade alone, K_{a-1}. This keeps exports and
+memo keys reproducible. The n-vertex path and cycle are P(n, 1, 1) and
+C(n, 1, 1).
 """
 
 from __future__ import annotations
@@ -140,36 +142,30 @@ class Graph:
 
 @dataclass(frozen=True)
 class ChainsawParams:
-    """The (n, a, b) triple: chain length, blade size, and the wiring gap a-b."""
+    """The (n, a, b) triple: chain length, blade size, and the wiring gap a-b.
+
+    n = 0 is admitted for P(0, a, b); C(n, a, b) itself needs n >= 1.
+    """
 
     n: int
     a: int
     b: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.b < 1 or self.a < self.b:
+        if self.n < 0 or self.b < 1 or self.a < self.b:
             raise ValueError(
-                f"chainsaw parameters require n >= 1 and a >= b >= 1, "
+                f"chainsaw parameters require n >= 0 and a >= b >= 1, "
                 f"got n={self.n}, a={self.a}, b={self.b}"
             )
 
 
 def make_path(n: int) -> Graph:
-    """The n-vertex path; n = 0 yields the empty graph. All roles chain."""
-    if n < 0:
-        raise ValueError(f"path length must be nonnegative, got {n}")
-    return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
+    """The n-vertex path P(n, 1, 1); n = 0 yields the empty graph. All roles chain."""
+    return make_broken_chainsaw(ChainsawParams(n, 1, 1))
 
 
 def make_cycle(n: int) -> Graph:
-    """The n-vertex cycle C(n, 1, 1). All roles chain.
-
-    It takes the chainsaw's conventions for the degenerate lengths: the
-    1-vertex cycle is a single vertex with a self-loop, the 2-vertex cycle
-    is a single edge. There is no convention for n = 0, so it is rejected.
-    """
-    if n < 1:
-        raise ValueError(f"cycle length must be at least 1, got {n}")
+    """The n-vertex cycle C(n, 1, 1), n >= 1, with its 1-loop and 2-edge conventions. All roles chain."""
     return make_chainsaw(ChainsawParams(n, 1, 1))
 
 
@@ -177,6 +173,8 @@ def _saw(params: ChainsawParams, broken: bool) -> Graph:
     """C(n, a, b), or P(n, a, b) when `broken`, in the canonical numbering, in one pass."""
     n, a, b = params.n, params.a, params.b
     blades = n + broken
+    if blades < 1:
+        raise ValueError(f"the chainsaw C(n, a, b) requires n >= 1, got n={n}")
     # Graph.build reads the cycle's (0, 0) at n = 1 as the loop and its (1, 0) at n = 2 as (0, 1)
     edges = [(v, (v + 1) % n) for v in range(n - broken)]
     for j in range(blades):
@@ -191,7 +189,7 @@ def _saw(params: ChainsawParams, broken: bool) -> Graph:
 
 
 def make_chainsaw(params: ChainsawParams) -> Graph:
-    """Build the chainsaw graph C(n, a, b).
+    """Build the chainsaw graph C(n, a, b), n >= 1.
 
     Chain vertices 0..n-1 form an n-cycle (with the 1-vertex loop and
     2-vertex single-edge conventions). Each chain vertex v is completed to
@@ -208,6 +206,7 @@ def make_broken_chainsaw(params: ChainsawParams) -> Graph:
     Built directly: the chain is a path, the orphaned blade 0 is a clique of
     its a-1 vertices, and chain vertex v owns blade v+1 and is wired to the
     a-b lowest-indexed vertices of the next blade, blade 0 for v = n-1.
+    P(0, a, b) is blade 0 alone, K_{a-1}.
     """
     return _saw(params, True)
 

@@ -13,8 +13,9 @@ same comparison:
 * ``chainsaw strata`` / ``broken strata``: the brute-force oracle's strata
   == the closed-form strata, for every graph within the oracle's cap;
 * ``lucas V`` / ``lucas U``: the three-term recurrence == index doubling;
-* ``path coefficients`` / ``cycle coefficients``: elimination on
-  ``make_path(n)`` / ``make_cycle(n)`` == the binomial terms;
+* ``path coefficients`` / ``cycle coefficients``: elimination on the
+  n-vertex path P(n, 1, 1) / cycle C(n, 1, 1) == its closed-form strata,
+  which at a = 1 are the binomial terms;
 * optionally, one externally injected graph: elimination == the closed
   form its declared parameters predict (the negative-control hook).
 
@@ -34,16 +35,14 @@ from .counting import (
     brute_force_strata,
     closed_form_count,
     count_via_elimination,
-    cycle_coefficients,
     decimal_text,
     family_graph,
     independence_polynomial,
     oracle_limit,
-    path_coefficients,
     resolve_brute_cap,
     stratified_closed_form,
 )
-from .graphs import ChainsawParams, Graph, make_cycle, make_path
+from .graphs import ChainsawParams, Graph
 from .sequences import SequenceSpec, evaluate
 
 
@@ -134,19 +133,17 @@ def _sweep_sequences(report: _Report, params: ChainsawParams) -> None:
 
 
 def _sweep_path_cycle(report: _Report, n: int) -> None:
-    tag = {"n": n}
-    report.add(
-        "path coefficients == C(n-t+1, t)",
-        tag,
-        independence_polynomial(make_path(n)),
-        path_coefficients(n),
-    )
-    report.add(
-        "cycle coefficients == C(n-t, t) + C(n-t-1, t-1)",
-        tag,
-        independence_polynomial(make_cycle(n)),
-        cycle_coefficients(n),
-    )
+    unit = ChainsawParams(n, 1, 1)
+    for label, family in (
+        ("path coefficients == C(n-t+1, t)", "broken"),
+        ("cycle coefficients == C(n-t, t) + C(n-t-1, t-1)", "chainsaw"),
+    ):
+        report.add(
+            label,
+            {"n": n},
+            independence_polynomial(family_graph(unit, family)),
+            list(stratified_closed_form(unit, family).values()),
+        )
 
 
 def run_verification(
@@ -165,6 +162,8 @@ def run_verification(
         raise ValueError(f"sweep bounds must be at least 1, got n_max={n_max}, a_max={a_max}")
     brute_cap = resolve_brute_cap(brute_cap)
     brute_limit = oracle_limit(brute_cap)
+    # a declaration outside the family's domain, such as C(0, a, b), fails before the sweep
+    declared = None if inject is None else closed_form_count(inject.params, inject.family)
     report = _Report()
     for n in range(1, n_max + 1):
         _sweep_path_cycle(report, n)
@@ -181,6 +180,6 @@ def run_verification(
             "injected graph count == declared closed form",
             {"family": inject.family, "n": p.n, "a": p.a, "b": p.b},
             count_via_elimination(inject.graph),
-            closed_form_count(p, inject.family),
+            declared,
         )
     return report.finish({"n_max": n_max, "a_max": a_max, "brute_cap": brute_cap})

@@ -5,14 +5,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainsaw.cli import main
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
     DEFAULT_BRUTE_CAP,
     closed_form_polynomial,
-    cycle_coefficients,
     family_graph,
+    stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import lucas_U, lucas_V
@@ -108,7 +110,7 @@ class TestCount:
     def test_negative_path_length_exits_2(self, capsys, method, n):
         rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", n, "--method", method)
         assert (rc, out) == (2, "")
-        assert "path length must be nonnegative" in err
+        assert f"n={n}," in err
 
     @pytest.mark.parametrize("family", ["path", "cycle"])
     @pytest.mark.parametrize("method", ["brute", "eliminate", "closed-form"])
@@ -117,6 +119,31 @@ class TestCount:
                                "--method", method)
         assert (rc, out) == (2, "")
         assert err == "error: --a and --b apply only to the chainsaw and broken families\n"
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (3, 2), (6, 4)])
+    def test_broken_at_zero_is_the_orphaned_blade(self, capsys, a, b):
+        # P(0, a, b) = K_{a-1}: a independent sets by every method, coefficients [1, a-1]
+        family = ["--family", "broken", "--n", "0", "--a", str(a), "--b", str(b)]
+        edges = "".join(f"{u} {v}\n" for u in range(a - 1) for v in range(u + 1, a - 1))
+        assert run_cli(capsys, "generate", *family) == (0, edges, "")
+        for method in ("brute", "eliminate", "closed-form"):
+            assert run_cli(capsys, "count", *family, "--method", method) == (0, f"{a}\n", "")
+        assert run_cli(capsys, "poly", *family) == (0, f"[1, {a - 1}]\n" if a > 1 else "[1]\n", "")
+
+    @pytest.mark.parametrize(
+        "family",
+        [["--family", "cycle"], ["--family", "chainsaw", "--a", "1", "--b", "1"],
+         ["--family", "chainsaw", "--a", "3", "--b", "2"]],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["generate"], ["count", "--method", "brute"], ["count", "--method", "eliminate"],
+         ["count", "--method", "closed-form"], ["poly"]],
+    )
+    def test_chainsaw_at_zero_exits_2(self, capsys, family, command):
+        rc, out, err = run_cli(capsys, *command, *family, "--n", "0")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "n=0" in err and err.count("\n") == 1
 
     def test_missing_blade_options_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3")
@@ -160,6 +187,62 @@ class TestPoly:
 
         monkeypatch.setattr("chainsaw.counting._eliminate", refuse)
         assert run_cli(capsys, "poly", *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("plain,row", [("path", "broken"), ("cycle", "chainsaw")])
+    def test_unit_blades_never_pack(self, capsys, monkeypatch, plain, row):
+        # at a = 1 every vertex is a chain vertex, so the strata are the coefficients
+        def refuse(*_):
+            raise AssertionError("poly packed a polynomial with no blades")
+
+        for n in [*range(0 if plain == "path" else 1, 41), 1000]:
+            expected = run_cli(capsys, "poly", "--family", plain, "--n", str(n))
+            assert expected[0] == 0
+            with monkeypatch.context() as patched:
+                patched.setattr("chainsaw.counting._by_matrix", refuse)
+                unit = ("--n", str(n), "--a", "1", "--b", "1")
+                assert run_cli(capsys, "poly", "--family", row, *unit) == expected
+                assert run_cli(capsys, "poly", "--family", plain, "--n", str(n)) == expected
+
+
+class TestFamilySurface:
+    """Every family option combination maps to exit 0, 2 or 3 and the references' counts."""
+
+    COMMANDS = (
+        ("generate",),
+        ("count", "--method", "brute"),
+        ("count", "--method", "eliminate"),
+        ("count", "--method", "closed-form"),
+        ("poly",),
+    )
+
+    @staticmethod
+    def reference(family, n, a, b):
+        """i(G) by the plain recurrence loops: U_{n+2} for path and broken, V_n for cycle and chainsaw."""
+        if family in ("path", "cycle"):
+            a, b = 1, 1
+        return lucas_U(n + 2, a, -b) if family in ("path", "broken") else lucas_V(n, a, -b)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(["path", "cycle", "chainsaw", "broken"]),
+        st.sampled_from(COMMANDS),
+        st.integers(min_value=-3, max_value=12),
+        st.none() | st.integers(min_value=-2, max_value=6),
+        st.none() | st.integers(min_value=-2, max_value=6),
+    )
+    def test_exit_codes_and_counts(self, capsys, family, command, n, a, b):
+        argv = [*command, "--family", family, f"--n={n}"]
+        argv += [f"--a={a}"] if a is not None else []
+        argv += [f"--b={b}"] if b is not None else []
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc in (0, 2, 3)
+        if rc:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        elif command[0] == "count":
+            assert out == f"{self.reference(family, n, a, b)}\n"
+        elif command[0] == "poly":
+            assert sum(json.loads(out)) == self.reference(family, n, a, b)
 
 
 class TestSeq:
@@ -354,6 +437,28 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["summary"]["all_pass"] is True
 
+    @pytest.mark.parametrize("family,code", [("broken", 0), ("chainsaw", 2)])
+    def test_injection_declared_at_zero_chain_length(self, capsys, monkeypatch, tmp_path, family, code):
+        # P(0, 3, 2) is the K_2 injected here; C(0, 3, 2) is refused before any sweep row is computed
+        path = tmp_path / "k2.json"
+        path.write_text(export_graph(family_graph(ChainsawParams(0, 3, 2), "broken"), "json"), encoding="utf-8")
+        if code:
+            def refuse(*_):
+                raise AssertionError("the sweep ran")
+
+            monkeypatch.setattr("chainsaw.verify._sweep_path_cycle", refuse)
+        rc, out, err = run_cli(
+            capsys, "verify", "--n-max", "1", "--a-max", "1",
+            "--inject-graph", str(path), "--inject-family", family,
+            "--inject-n", "0", "--inject-a", "3", "--inject-b", "2",
+        )
+        assert rc == code
+        if code:
+            assert out == ""
+            assert "n=0" in err
+        else:
+            assert json.loads(out)["checks"][-1]["right"] == "3"
+
     def test_perturbed_injection_fails_but_reports_fully(self, capsys, tmp_path):
         params = ChainsawParams(4, 2, 1)
         g = make_chainsaw(params)
@@ -520,7 +625,8 @@ class TestInterpreterState:
         # the long values are written out while no limit applies, then the
         # CLI runs under the caller's limit with no way to change it
         seq = f"{lucas_V(30000, 7, -3)}\n"  # about 26k digits
-        poly = "[" + ", ".join(str(c) for c in cycle_coefficients(400)) + "]\n"
+        cycle = stratified_closed_form(ChainsawParams(400, 1, 1), "chainsaw").values()
+        poly = "[" + ", ".join(str(c) for c in cycle) + "]\n"
         # 1201 coefficients, most of them past 640 digits
         saw = closed_form_polynomial(ChainsawParams(1200, 4, 2), "chainsaw")
         assert max(saw).bit_length() > 2200

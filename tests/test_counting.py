@@ -19,14 +19,10 @@ from chainsaw.counting import (
     closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
-    cycle_coefficient,
-    cycle_coefficients,
     decimal_text,
     family_graph,
     independence_polynomial,
     oracle_limit,
-    path_coefficient,
-    path_coefficients,
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
@@ -233,8 +229,10 @@ class TestClosedFormPolynomial:
     def test_unit_blades_give_the_cycle_and_the_path(self, n):
         # P(n, 1, 1) is the n-vertex path, C(n, 1, 1) the n-cycle
         unit = ChainsawParams(n, 1, 1)
-        assert closed_form_polynomial(unit, "chainsaw") == cycle_coefficients(n)
-        assert closed_form_polynomial(unit, "broken") == path_coefficients(n)
+        cycle = [_binomial_cycle_weight(n, t) for t in range(n // 2 + 1)]
+        path = [math.comb(n - t + 1, t) for t in range((n + 1) // 2 + 1)]
+        assert closed_form_polynomial(unit, "chainsaw") == cycle
+        assert closed_form_polynomial(unit, "broken") == path
 
     def test_frozen_examples(self):
         assert closed_form_polynomial(ChainsawParams(5, 3, 2), "broken") == [1, 17, 111, 357, 601, 507, 169]
@@ -255,6 +253,11 @@ class TestClosedFormPolynomial:
 def _binomial_cycle_weight(n, t):
     """n/(n-t) * C(n-t, t) as C(n-t, t) + C(n-t-1, t-1)."""
     return math.comb(n - t, t) + (math.comb(n - t - 1, t - 1) if t else 0)
+
+
+def _unit_row(n, family):
+    """The table's row at (n, 1, 1) as a list: the path's ("broken") or cycle's ("chainsaw") coefficients."""
+    return list(stratified_closed_form(ChainsawParams(n, 1, 1), family).values())
 
 
 class TestTermsAgainstTheBinomialDefinition:
@@ -278,39 +281,61 @@ class TestTermsAgainstTheBinomialDefinition:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=400))
     def test_path_coefficients(self, n):
-        assert path_coefficients(n) == [math.comb(n - t + 1, t) for t in range((n + 1) // 2 + 1)]
+        assert _unit_row(n, "broken") == [math.comb(n - t + 1, t) for t in range((n + 1) // 2 + 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=400))
     def test_cycle_coefficients(self, n):
-        assert cycle_coefficients(n) == [_binomial_cycle_weight(n, t) for t in range(n // 2 + 1)]
+        assert _unit_row(n, "chainsaw") == [_binomial_cycle_weight(n, t) for t in range(n // 2 + 1)]
 
 
 class TestPathCycleCoefficients:
     def test_frozen_examples(self):
-        assert path_coefficients(4) == [1, 4, 3]
-        assert cycle_coefficients(4) == [1, 4, 2]
-        assert path_coefficients(0) == [1]
-        assert cycle_coefficients(1) == [1]
+        assert _unit_row(4, "broken") == [1, 4, 3]
         # the two diagonals are the only 2-subsets independent on C_4
-        assert cycle_coefficient(4, 2) == 2
-        assert path_coefficient(5, 3) == 1
+        assert _unit_row(4, "chainsaw") == [1, 4, 2]
+        assert _unit_row(0, "broken") == [1]
+        assert _unit_row(1, "chainsaw") == [1]
+        assert _unit_row(5, "broken") == [1, 5, 6, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=40))
     def test_path_formula_matches_elimination(self, n):
-        assert independence_polynomial(make_path(n)) == path_coefficients(n)
+        assert independence_polynomial(make_path(n)) == _unit_row(n, "broken")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=40))
     def test_cycle_formula_matches_elimination(self, n):
-        assert independence_polynomial(make_cycle(n)) == cycle_coefficients(n)
+        assert independence_polynomial(make_cycle(n)) == _unit_row(n, "chainsaw")
 
     def test_cycle_length_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cycle_coefficients(0)
-        with pytest.raises(ValueError):
-            cycle_coefficient(0, 0)
+        # the cycle is C(n, 1, 1), and C(0, a, b) is outside the table's domain
+        with pytest.raises(ValueError, match="n=0"):
+            _unit_row(0, "chainsaw")
+
+
+class TestZeroChainLength:
+    """P(0, a, b) = K_{a-1} is in every route's domain; C(0, a, b) is in none."""
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_broken_at_zero_counts_a(self, a):
+        for b in range(1, a + 1):
+            params = ChainsawParams(0, a, b)
+            g = family_graph(params, "broken")
+            assert count_brute_force(g) == a
+            assert count_via_elimination(g) == a
+            assert closed_form_count(params, "broken") == a
+            assert stratified_closed_form(params, "broken") == {0: a}
+            assert closed_form_polynomial(params, "broken") == ([1, a - 1] if a > 1 else [1])
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (3, 2), (5, 5)])
+    def test_chainsaw_at_zero_rejected_by_every_route(self, a, b):
+        params = ChainsawParams(0, a, b)
+        with pytest.raises(ValueError, match="n=0"):
+            make_chainsaw(params)
+        for route in (family_graph, stratified_closed_form, closed_form_count, closed_form_polynomial):
+            with pytest.raises(ValueError, match="n=0"):
+                route(params, "chainsaw")
 
 
 class TestClosedForms:

@@ -88,7 +88,7 @@ class TestChainsawParams:
         with pytest.raises(ValueError, match="a >= b >= 1"):
             ChainsawParams(1, 2, 3)
 
-    @pytest.mark.parametrize("n,a,b", [(0, 1, 1), (1, 1, 0), (-2, 3, 2)])
+    @pytest.mark.parametrize("n,a,b", [(-1, 1, 1), (1, 1, 0), (-2, 3, 2)])
     def test_out_of_range_rejected(self, n, a, b):
         with pytest.raises(ValueError):
             ChainsawParams(n, a, b)
@@ -97,12 +97,22 @@ class TestChainsawParams:
         ChainsawParams(1, 1, 1)
         ChainsawParams(8, 4, 4)
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (3, 2), (6, 6)])
+    def test_zero_chain_length_is_the_orphaned_blade(self, a, b):
+        # P(0, a, b) is C(1, a, b) minus its chain vertex: the clique K_{a-1}, the empty path at a = 1
+        g = make_broken_chainsaw(ChainsawParams(0, a, b))
+        assert g == Graph.build(a - 1, itertools.combinations(range(a - 1), 2), (), (BLADE,) * (a - 1))
+        with pytest.raises(ValueError, match="n=0"):
+            make_chainsaw(ChainsawParams(0, a, b))
+
 
 class TestChainsaw:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_trivial_blades_give_the_cycle(self, n):
         # a = b = 1 means no blade vertices and no extra edges.
         assert make_chainsaw(ChainsawParams(n, 1, 1)) == make_cycle(n)
+        if n >= 3:  # make_cycle reads C(n, 1, 1), so the cycle's shape is pinned on its own
+            assert make_cycle(n).edges() == sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
     def test_two_triangle_instance(self):
         g = make_chainsaw(ChainsawParams(2, 2, 1))
@@ -172,6 +182,9 @@ class TestBrokenChainsaw:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_trivial_blades_give_the_path(self, n):
         assert make_broken_chainsaw(ChainsawParams(n, 1, 1)) == make_path(n)
+        # make_path reads P(n, 1, 1), so the path's shape is pinned on its own
+        assert make_path(n).edges() == [(i, i + 1) for i in range(n - 1)]
+        assert make_path(n).roles == (CHAIN,) * n
 
     def test_smallest_nontrivial_instance(self):
         g = make_broken_chainsaw(ChainsawParams(1, 2, 1))
@@ -196,7 +209,7 @@ class TestBrokenChainsaw:
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_matches_the_reference_definition(self, a):
-        for n in range(1, 31):
+        for n in range(0, 31):
             for b in range(1, a + 1):
                 params = ChainsawParams(n, a, b)
                 assert make_broken_chainsaw(params) == reference_broken_chainsaw(params)
