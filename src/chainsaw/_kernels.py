@@ -1,49 +1,26 @@
-"""Meet-in-the-middle subset kernel behind the brute-force oracle.
+"""Meet-in-the-middle subset kernel behind the brute-force oracle, on exact ints.
 
-A subset of vertices is a bitmask; it is independent when it holds no
-looped vertex and no two adjacent ones. Instead of testing all 2^order
-subsets, the vertices are split into a low half A and a high half B
-(Horowitz and Sahni's split). Every independent set is T | U with T an
-independent subset of A and U an independent subset of B \\ N(T), so a
-table over the subsets of B, summed over sub-subsets (Yates' zeta
-transform, the "subset sum" of Bjorklund, Husfeldt, Kaski and Koivisto),
-answers each T with one lookup. The work is about 2^(order/2) table rows
-instead of 2^order subset tests.
-
-Counts are int64: an order is capped at 48 bits, so no count reaches 2^63.
+The vertices are split into a low half A and a high half B (Horowitz and
+Sahni's split). Every independent set is T | U, with T an independent
+subset of A and U one of the room B \\ N(T), loops left out. The A side
+lists its independent subsets by extension and sums their weights per room.
+The B side counts each room's independent subsets by branching on the
+lowest vertex v, g(S) = g(S - v) + z^c(v) * g(S - N[v]): the identity
+elimination uses, which costs no independence, as no verify row compares
+the oracle with elimination (its strata rows compare it with the closed
+form). Each branch raises the lowest vertex, so the states are settled in
+that order, each once, with no stack. A vertex with no neighbour in B is a
+factor 1 + z^c(v) of every room holding it, taken out first. The strata
+travel packed as the coefficients of z = 2^(order + 1), since no stratum
+count exceeds 2^order.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-_MASK_BIT_LIMIT = 48
-
 
 def active_backend() -> str:
     """Name of the kernel implementation, for run records."""
-    return "numpy"
-
-
-def _half_tables(adj, loop_mask: int, chain_mask: int, lo: int, hi: int):
-    """Tables over the subsets S of vertices lo..hi-1, indexed by S >> lo.
-
-    Returns whether S is independent, how many chain vertices it holds and
-    the union of its members' neighbourhoods (a mask over all vertices).
-    The last two are built one vertex at a time, each vertex doubling the
-    table: the new upper half is the old one with that vertex added. S is
-    independent when no member is looped or a neighbour of another member.
-    """
-    size = 1 << (hi - lo)
-    chains = np.zeros(size, dtype=np.int64)
-    nbrs = np.zeros(size, dtype=np.int64)
-    for v in range(lo, hi):
-        half = 1 << (v - lo)
-        np.add(chains[:half], (chain_mask >> v) & 1, out=chains[half : 2 * half])
-        np.bitwise_or(nbrs[:half], adj[v], out=nbrs[half : 2 * half])
-    members = np.arange(size, dtype=np.int64) << lo
-    indep = ((members & loop_mask) == 0) & ((members & nbrs) == 0)
-    return indep, chains, nbrs
+    return "python"
 
 
 def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int) -> list[int]:
@@ -54,26 +31,43 @@ def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int
     order + 1) counts the independent sets holding exactly t chain-mask
     vertices; the empty set is in entry 0.
     """
-    if order > _MASK_BIT_LIMIT:
-        raise ValueError(f"mask kernels support at most {_MASK_BIT_LIMIT} vertices, got {order}")
     adj = [int(m) for m in adj_masks]
     if len(adj) != order:
         raise ValueError(f"expected {order} adjacency masks, got {len(adj)}")
+    slot = order + 1
     split = (order + 1) // 2
-    width = order - split
-    indep_a, chains_a, nbrs_a = _half_tables(adj, loop_mask, chain_mask, 0, split)
-    indep_b, chains_b, _ = _half_tables(adj, loop_mask, chain_mask, split, order)
+    free_b = ((1 << order) - 1) & ~((1 << split) - 1) & ~loop_mask
+    lone = sum(1 << v for v in range(split, order) if free_b >> v & 1 and not adj[v] & free_b)
 
-    # table[S, k]: independent U within S (S a subset of B) with k chain vertices
-    columns = int(chains_b.max()) + 1
-    table = np.zeros((1 << width, columns), dtype=np.int64)
-    table[np.arange(1 << width), chains_b] = indep_b
-    for i in range(width):
-        view = table.reshape(-1, 2, 1 << i, columns)
-        view[:, 1] += view[:, 0]
+    # the independent subsets T of A, as N(T) and z^chains(T), each T once
+    nbrs, weights = [0], [1]
+    for v in range(split):
+        if not loop_mask >> v & 1:
+            bit, nv, shift = 1 << v, adj[v], slot if chain_mask >> v & 1 else 0
+            keep = [i for i, n in enumerate(nbrs) if not n & bit]
+            nbrs += [nbrs[i] | nv for i in keep]
+            weights += [weights[i] << shift for i in keep]
 
-    # each independent T in A adds the row of B \ N(T), shifted by T's chain count
-    room = ~(nbrs_a[indep_a] >> split) & ((1 << width) - 1)
-    counts = np.zeros(order + 1, dtype=np.int64)
-    np.add.at(counts, chains_a[indep_a, None] + np.arange(columns), table[room])
-    return counts.tolist()
+    rooms: dict[int, int] = {}
+    for n, w in zip(nbrs, weights):
+        room = free_b & ~n
+        rooms[room] = rooms.get(room, 0) + w
+    # states[v]: what is left of a room -> packed weight, filed under its lowest vertex v
+    states: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for room, w in rooms.items():
+        alone = room & lone
+        w <<= (alone & ~chain_mask).bit_count()
+        for _ in range((alone & chain_mask).bit_count()):
+            w += w << slot
+        room ^= alone
+        bucket = states[(room & -room).bit_length() - 1]
+        bucket[room] = bucket.get(room, 0) + w
+    for v in range(split, order):
+        bit, nv, shift = 1 << v, adj[v], slot if chain_mask >> v & 1 else 0
+        for s, w in states[v].items():
+            for rest, x in ((s ^ bit, w), (s & ~nv & ~bit, w << shift)):
+                bucket = states[(rest & -rest).bit_length() - 1]
+                bucket[rest] = bucket.get(rest, 0) + x
+
+    packed = states[-1].get(0, 0)  # the empty state is filed at index -1
+    return [packed >> (slot * t) & ((1 << slot) - 1) for t in range(slot)]

@@ -17,6 +17,8 @@ import sys
 from .counting import (
     ComputationAbandoned,
     OracleCapExceeded,
+    _check_cap,
+    _family_order,
     closed_form_count,
     closed_form_polynomial,
     count_brute_force,
@@ -53,9 +55,11 @@ def _cmd_count(args) -> int:
     params, family = _family_params(args)
     if args.method == "closed-form":
         value = closed_form_count(params, family)
+    elif args.method == "brute":
+        _check_cap(_family_order(params, family), None)  # before the graph is built
+        value = count_brute_force(family_graph(params, family))
     else:
-        engine = count_brute_force if args.method == "brute" else count_via_elimination
-        value = engine(family_graph(params, family))
+        value = count_via_elimination(family_graph(params, family))
     print(decimal_text(value))
     return 0
 

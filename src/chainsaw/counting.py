@@ -5,8 +5,9 @@ and a fourth that lifts the closed form to the whole polynomial:
 
 * ``count_brute_force`` / ``brute_force_strata``: every independent set
   counted from the definition by the meet-in-the-middle mask kernel
-  (two half-size subset tables joined by a subset-sum transform). This is
-  the oracle; it refuses graphs above a configurable vertex cap.
+  (the independent subsets of one half, grouped by what they leave of the
+  other). This is the oracle; it refuses graphs above a configurable
+  vertex cap, and the cap is its only limit.
 * ``independence_polynomial`` / ``count_via_elimination``: the branching
   identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
   up front and multiplication across connected components. One engine
@@ -138,33 +139,27 @@ def resolve_brute_cap(cap: int | None) -> int:
     return cap
 
 
-def oracle_limit(cap: int | None) -> int:
-    """The largest order the oracle admits: the resolved cap, but never past the kernel's mask limit."""
-    return min(resolve_brute_cap(cap), _kernels._MASK_BIT_LIMIT)
-
-
 def _adjacency_masks(g: Graph) -> list[int]:
     return [sum(1 << u for u in g.adjacency[v]) for v in range(g.order)]
 
 
-def _check_cap(g: Graph, cap: int | None) -> None:
-    limit = oracle_limit(cap)
-    if g.order > limit:
-        raise OracleCapExceeded(
-            f"oracle cap exceeded: graph has {g.order} vertices, cap is {limit}"
-        )
+def _check_cap(order: int, cap: int | None) -> None:
+    """OracleCapExceeded unless a graph of `order` vertices is within the resolved cap."""
+    limit = resolve_brute_cap(cap)
+    if order > limit:
+        raise OracleCapExceeded(f"oracle cap exceeded: graph has {order} vertices, cap is {limit}")
 
 
 def count_brute_force(g: Graph, *, cap: int | None = None) -> int:
     """i(G) from the definition, by the oracle kernel. The empty set always counts."""
-    _check_cap(g, cap)
+    _check_cap(g.order, cap)
     loop_mask = sum(1 << v for v in g.loops)
     return sum(_kernels.strata_by_chain_count(_adjacency_masks(g), loop_mask, 0, g.order))
 
 
 def brute_force_strata(g: Graph, *, cap: int | None = None) -> dict[int, int]:
     """Independent sets keyed by how many chain-role vertices they contain."""
-    _check_cap(g, cap)
+    _check_cap(g.order, cap)
     loop_mask = sum(1 << v for v in g.loops)
     chain_mask = sum(1 << v for v in g.chain_vertices())
     counts = _kernels.strata_by_chain_count(_adjacency_masks(g), loop_mask, chain_mask, g.order)
@@ -439,3 +434,9 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
 def family_graph(params: ChainsawParams, family: str) -> Graph:
     """The generated graph a closed form refers to."""
     return _family(params, family)[2](params)
+
+
+def _family_order(params: ChainsawParams, family: str) -> int:
+    """The order of the family's graph, before it is built: n chain vertices, n + shift blades."""
+    shift = _family(params, family)[1]
+    return params.n + (params.n + shift) * (params.a - 1)

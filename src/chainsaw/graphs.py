@@ -118,9 +118,6 @@ class Graph:
         """Number of non-loop edges."""
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -38,7 +38,6 @@ from .counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
-    oracle_limit,
     resolve_brute_cap,
     stratified_closed_form,
 )
@@ -96,7 +95,7 @@ class _Report:
         }
 
 
-def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_limit: int) -> None:
+def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_cap: int) -> None:
     n, a, b = params.n, params.a, params.b
     tag = {"n": n, "a": a, "b": b}
     graph = family_graph(params, family)
@@ -112,8 +111,8 @@ def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_lim
         lucas_name = "U(n+2, a, -b)"
     report.add(f"{label}: elimination == stratified closed form", tag, elim, closed)
     report.add(f"{label}: closed form == {lucas_name}", tag, closed, lucas)
-    if graph.order <= brute_limit:
-        brute = brute_force_strata(graph, cap=brute_limit)
+    if graph.order <= brute_cap:
+        brute = brute_force_strata(graph, cap=brute_cap)
         closed_strata = stratified_closed_form(params, family)
         report.add(
             f"{family} strata: brute force == closed form",
@@ -155,13 +154,11 @@ def run_verification(
     """Run the full identity sweep; returns the report as a plain dict.
 
     Strata rows cover the graphs the oracle admits: within its cap, resolved
-    as the oracle resolves it when `brute_cap` is None, and within the
-    kernel's mask limit.
+    as the oracle resolves it when `brute_cap` is None.
     """
     if n_max < 1 or a_max < 1:
         raise ValueError(f"sweep bounds must be at least 1, got n_max={n_max}, a_max={a_max}")
     brute_cap = resolve_brute_cap(brute_cap)
-    brute_limit = oracle_limit(brute_cap)
     # a declaration outside the family's domain, such as C(0, a, b), fails before the sweep
     declared = None if inject is None else closed_form_count(inject.params, inject.family)
     report = _Report()
@@ -172,7 +169,7 @@ def run_verification(
             for b in range(1, a + 1):
                 params = ChainsawParams(n, a, b)
                 for family in ("chainsaw", "broken"):
-                    _sweep_tuple(report, params, family, brute_limit)
+                    _sweep_tuple(report, params, family, brute_cap)
                 _sweep_sequences(report, params)
     if inject is not None:
         p = inject.params

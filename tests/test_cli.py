@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chainsaw import _kernels
 from chainsaw.cli import main
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
@@ -96,14 +97,35 @@ class TestCount:
         assert out == ""
         assert "oracle cap exceeded" in err
 
-    def test_brute_above_the_kernel_limit_exits_3(self, capsys, monkeypatch):
-        # a raised cap cannot lift the oracle past what its masks hold;
-        # order 50 is refused before any table is built
+    def test_a_raised_cap_is_the_only_limit(self, capsys, monkeypatch):
+        # order 50 is past what a 48-bit mask kernel held; order 61 is refused before any kernel call
         monkeypatch.setenv("CHAINSAW_BRUTE_CAP", "60")
         rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", "50", "--method", "brute")
-        assert rc == 3
-        assert out == ""
-        assert "graph has 50 vertices, cap is 48" in err
+        assert (rc, out, err) == (0, f"{lucas_U(52, 1, -1)}\n", "")
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran above the cap")
+
+        monkeypatch.setattr("chainsaw._kernels.strata_by_chain_count", no_kernel)
+        rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", "61", "--method", "brute")
+        assert (rc, out, err) == (3, "", "error: oracle cap exceeded: graph has 61 vertices, cap is 60\n")
+
+    @pytest.mark.parametrize(
+        "family,order",
+        [(["--family", "chainsaw", "--n", "1000000", "--a", "3", "--b", "2"], 3000000),
+         (["--family", "broken", "--n", "300000", "--a", "3", "--b", "2"], 900002),
+         (["--family", "broken", "--n", "0", "--a", "28", "--b", "5"], 27),
+         (["--family", "path", "--n", "27"], 27),
+         (["--family", "cycle", "--n", "27"], 27)],
+    )
+    def test_brute_over_cap_exits_3_before_building_the_graph(self, capsys, monkeypatch, family, order):
+        def no_graph(params, family):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+        monkeypatch.setattr("chainsaw.cli.family_graph", no_graph)
+        rc, out, err = run_cli(capsys, "count", *family, "--method", "brute")
+        assert (rc, out, err) == (3, "", f"error: oracle cap exceeded: graph has {order} vertices, cap is 26\n")
 
     @pytest.mark.parametrize("n", ["-1", "-3"])
     @pytest.mark.parametrize("method", ["brute", "eliminate", "closed-form"])
@@ -377,15 +399,22 @@ class TestVerify:
         assert strata_orders() == (9, 9)
         assert strata_orders("--brute-cap", "5") == (5, 5)
 
-    def test_strata_rows_stop_at_the_kernel_mask_limit(self, capsys, monkeypatch):
-        # a cap above what the oracle's masks hold skips the larger graphs, not the sweep
-        monkeypatch.setattr("chainsaw._kernels._MASK_BIT_LIMIT", 10)
-        rc, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--a-max", "3", "--brute-cap", "20")
+    @pytest.mark.parametrize("n_max,a_max,cap", [(4, 3, 4), (4, 3, 10), (8, 4, 26), (13, 4, 51)])
+    def test_strata_rows_cover_exactly_the_graphs_within_the_cap(self, capsys, monkeypatch, n_max, a_max, cap):
+        # no kernel call above the cap, and no graph within it skipped, past 48 vertices too
+        kernel = _kernels.strata_by_chain_count
+
+        def within_cap(adj_masks, loop_mask, chain_mask, order):
+            assert order <= cap
+            return kernel(adj_masks, loop_mask, chain_mask, order)
+
+        monkeypatch.setattr("chainsaw._kernels.strata_by_chain_count", within_cap)
+        rc, out, _ = run_cli(capsys, "verify", "--n-max", str(n_max), "--a-max", str(a_max), "--brute-cap", str(cap))
         assert rc == 0
         report = json.loads(out)
         assert report["summary"]["all_pass"] is True
-        assert report["parameters"]["brute_cap"] == 20
-        grid = [(n, a, b) for n in range(1, 5) for a in range(1, 4) for b in range(1, a + 1)]
+        assert report["parameters"]["brute_cap"] == cap
+        grid = [(n, a, b) for n in range(1, n_max + 1) for a in range(1, a_max + 1) for b in range(1, a + 1)]
         for family in ("chainsaw", "broken"):
             rows = sorted(
                 tuple(c["params"].values())
@@ -393,8 +422,8 @@ class TestVerify:
                 if c["identity"] == f"{family} strata: brute force == closed form"
             )
             orders = {t: family_graph(ChainsawParams(*t), family).order for t in grid}
-            assert rows == sorted(t for t in grid if orders[t] <= 10)
-            assert max(orders.values()) > 10
+            assert rows == sorted(t for t in grid if orders[t] <= cap)
+            assert max(orders.values()) > cap
 
     @pytest.mark.parametrize(
         "env,message",
@@ -674,6 +703,10 @@ class TestEntryPoints:
         )
         assert out.returncode == 0
         assert out.stdout == "11\n"
+
+    def test_the_cli_imports_no_numpy(self):
+        code = "import sys, chainsaw.cli; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_missing_subcommand_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,8 @@ from chainsaw.counting import (
     BRUTE_CAP_ENV,
     ComputationAbandoned,
     OracleCapExceeded,
+    _ENCODING,
+    _family_order,
     brute_force_strata,
     closed_form_count,
     closed_form_polynomial,
@@ -22,7 +24,6 @@ from chainsaw.counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
-    oracle_limit,
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
@@ -80,15 +81,18 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=f"^--brute-cap must be at least 1, got {cap}$"):
             brute_force_strata(make_path(3), cap=cap)
 
-    def test_oracle_limit_is_the_cap_within_the_mask_limit(self, monkeypatch):
+    def test_the_cap_is_the_only_limit(self, monkeypatch):
         monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
-        assert oracle_limit(None) == 26
-        assert oracle_limit(30) == 30
-        assert oracle_limit(50) == 48
-        monkeypatch.setattr("chainsaw._kernels._MASK_BIT_LIMIT", 10)
-        assert oracle_limit(20) == 10
-        with pytest.raises(OracleCapExceeded, match="11 vertices, cap is 10"):
-            count_brute_force(make_path(11), cap=20)
+        assert count_brute_force(make_path(50), cap=50) == lucas_U(52, 1, -1)
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran above the cap")
+
+        monkeypatch.setattr("chainsaw._kernels.strata_by_chain_count", no_kernel)
+        for engine, cap, order, limit in [(count_brute_force, None, 27, 26), (brute_force_strata, None, 27, 26),
+                                          (count_brute_force, 10, 11, 10), (brute_force_strata, 60, 61, 60)]:
+            with pytest.raises(OracleCapExceeded, match=f"^oracle cap exceeded: graph has {order} vertices, cap is {limit}$"):
+                engine(make_path(order), cap=cap)
 
     def test_strata_honors_the_cap(self):
         with pytest.raises(OracleCapExceeded):
@@ -397,6 +401,14 @@ class TestClosedForms:
     def test_family_graph_shapes(self):
         assert family_graph(ChainsawParams(3, 4, 2), "chainsaw").order == 12
         assert family_graph(ChainsawParams(3, 4, 2), "broken").order == 15
+
+    def test_family_order_is_the_order_of_the_graph(self):
+        for family in ("chainsaw", "broken"):
+            for n in range(1 - _ENCODING[family][1], 13):
+                for a in range(1, 7):
+                    for b in range(1, a + 1):
+                        params = ChainsawParams(n, a, b)
+                        assert _family_order(params, family) == family_graph(params, family).order
 
     def test_family_graph_calls_the_generators_by_name(self, monkeypatch):
         # a wrapper put on the module's names, as the benchmark's tracer does, sees every build

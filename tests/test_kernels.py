@@ -1,11 +1,15 @@
 """The meet-in-the-middle oracle kernel against the definition."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsaw import _kernels
-from chainsaw.graphs import Graph, make_cycle
+from chainsaw.counting import brute_force_strata, count_brute_force, family_graph, stratified_closed_form
+from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_cycle
 from chainsaw.sequences import lucas_V
 from helpers import random_graph, reference_count, reference_strata
 
@@ -70,6 +74,35 @@ def test_cycles_of_odd_order_and_at_the_default_cap():
         assert _count(make_cycle(n)) == lucas_V(n, 1, -1), n
 
 
-def test_order_above_mask_limit_rejected():
-    with pytest.raises(ValueError, match="at most"):
-        _kernels.strata_by_chain_count([0] * 49, 0, 0, 49)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matches_plain_enumeration(data):
+    # any graph of order <= 14, with loops and a random chain mask, against all 2^order subsets
+    order = data.draw(st.integers(min_value=0, max_value=14))
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    loops = data.draw(st.sets(st.integers(min_value=0, max_value=order - 1))) if order else set()
+    roles = tuple(data.draw(st.lists(st.sampled_from((CHAIN, BLADE)), min_size=order, max_size=order)))
+    g = Graph.build(order, edges, loops, roles)
+    adj, loop_mask, chain_mask = _masks(g)
+    counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order)
+    assert len(counts) == g.order + 1
+    assert {t: c for t, c in enumerate(counts) if c} == reference_strata(g)
+
+
+def test_no_mask_width_limit():
+    # past the 48 vertices a fixed-width kernel held: cycle 50, and C(13, 4, 2) with 52
+    assert count_brute_force(make_cycle(50), cap=50) == lucas_V(50, 1, -1)
+    params = ChainsawParams(13, 4, 2)
+    assert family_graph(params, "chainsaw").order == 52
+    assert brute_force_strata(family_graph(params, "chainsaw"), cap=52) == stratified_closed_form(params, "chainsaw")
+
+
+def test_edgeless_graph_fills_every_stratum():
+    # 2^order independent sets; with no chain vertex, stratum 0 takes the largest count a slot holds
+    assert _kernels.strata_by_chain_count([0] * 20, 0, 0, 20) == [1 << 20] + [0] * 20
+    assert _kernels.strata_by_chain_count([0] * 20, 0, (1 << 20) - 1, 20) == [math.comb(20, t) for t in range(21)]
+
+
+def test_the_backend_is_pure_python():
+    assert _kernels.active_backend() == "python"
