@@ -10,7 +10,9 @@ elimination uses, which costs no independence, as no verify row compares
 the oracle with elimination (its strata rows compare it with the closed
 form). Each branch raises the lowest vertex, so the states are settled in
 that order, each once, with no stack. A vertex with no neighbour in B is a
-factor 1 + z^c(v) of every room holding it, taken out first. The strata
+factor 1 + z^c(v) of every room holding it, taken out first; one with no
+neighbour at all outside the loops is such a factor of the whole count,
+taken out before the listing, so the edgeless graph lists nothing. The strata
 travel packed as the coefficients of z = 2^(order + 1), since no stratum
 count exceeds 2^order.
 """
@@ -21,6 +23,14 @@ from __future__ import annotations
 def active_backend() -> str:
     """Name of the kernel implementation, for run records."""
     return "python"
+
+
+def _times_free(w: int, free: int, chain_mask: int, slot: int) -> int:
+    """Packed weight w times 1 + z^c(v) for each vertex v of `free`, z = 2^slot."""
+    w <<= (free & ~chain_mask).bit_count()
+    for _ in range((free & chain_mask).bit_count()):
+        w += w << slot
+    return w
 
 
 def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int) -> list[int]:
@@ -36,6 +46,8 @@ def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int
         raise ValueError(f"expected {order} adjacency masks, got {len(adj)}")
     slot = order + 1
     split = (order + 1) // 2
+    isolated = sum(1 << v for v in range(order) if not (loop_mask >> v & 1 or adj[v] & ~loop_mask))
+    loop_mask |= isolated  # out of the listing; multiplied back in at the end
     free_b = ((1 << order) - 1) & ~((1 << split) - 1) & ~loop_mask
     lone = sum(1 << v for v in range(split, order) if free_b >> v & 1 and not adj[v] & free_b)
 
@@ -56,9 +68,7 @@ def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int
     states: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for room, w in rooms.items():
         alone = room & lone
-        w <<= (alone & ~chain_mask).bit_count()
-        for _ in range((alone & chain_mask).bit_count()):
-            w += w << slot
+        w = _times_free(w, alone, chain_mask, slot)
         room ^= alone
         bucket = states[(room & -room).bit_length() - 1]
         bucket[room] = bucket.get(room, 0) + w
@@ -69,5 +79,5 @@ def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int
                 bucket = states[(rest & -rest).bit_length() - 1]
                 bucket[rest] = bucket.get(rest, 0) + x
 
-    packed = states[-1].get(0, 0)  # the empty state is filed at index -1
+    packed = _times_free(states[-1].get(0, 0), isolated, chain_mask, slot)  # the empty state is at -1
     return [packed >> (slot * t) & ((1 << slot) - 1) for t in range(slot)]

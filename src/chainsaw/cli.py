@@ -5,7 +5,9 @@ error, 3 resource cap (oracle cap exceeded, computation abandoned, out of
 memory, or a result of more than ``counting.MAX_DIGITS`` digits to print).
 All output is written to stdout and is byte-deterministic for identical
 invocations. Every integer printed goes through ``counting.decimal_text``,
-so no interpreter setting changes what prints.
+except a ``seq --method matrix`` value, which ``counting.sequence_text``
+computes on exact Decimals and prints by str; so no interpreter setting
+changes what prints.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .counting import (
     count_via_elimination,
     decimal_text,
     family_graph,
+    sequence_text,
 )
 from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_json
-from .sequences import METHODS, SequenceSpec, evaluate
+from .sequences import METHODS, SequenceSpec
 from .verify import InjectedGraph, run_verification
 
 GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
@@ -70,8 +73,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    spec = SequenceSpec(args.kind, args.n, args.p, args.q, args.method)
-    print(decimal_text(evaluate(spec)))
+    print(sequence_text(SequenceSpec(args.kind, args.n, args.p, args.q, args.method)))
     return 0
 
 

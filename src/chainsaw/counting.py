@@ -18,7 +18,8 @@ and a fourth that lifts the closed form to the whole polynomial:
   interpreter state is touched.
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms, one entry per number of chain vertices used: the summands
-  of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' routine.
+  of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' weights.
+  The count adds them in Horner form, so its memory is linear.
 * ``closed_form_polynomial``: the chainsaw-family independence polynomial
   as a Lucas value, I(C(n,a,b); x) = V_n(p, q) and I(P(n,a,b); x) =
   U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'
@@ -32,7 +33,10 @@ The n-vertex cycle and path are its rows at (n, 1, 1). A row admits n from
 
 Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
-the command line prints.
+the command line prints. ``sequence_text`` prints a sequence value; a
+``matrix`` one is computed in base 10, by the Decimal doubling
+``closed_form_polynomial`` uses (``_decimal_lucas``). ``evaluate`` still
+returns an int.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Callable
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import _by_matrix, _dickson_terms, _seeds
+from .sequences import SequenceSpec, _by_matrix, _check_spec, _dickson_sum, _dickson_terms, _seeds, evaluate
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -116,6 +120,23 @@ def decimal_text(value: int | list[int]) -> str:
         if len(digits) <= MAX_DIGITS:
             return "-" + digits if value < 0 else digits
     raise ComputationAbandoned(f"result has more than {MAX_DIGITS} digits to print")
+
+
+def sequence_text(spec: SequenceSpec) -> str:
+    """The decimal text of ``evaluate(spec)``, with the ValueErrors of ``evaluate``.
+
+    A ``matrix`` value is doubled on exact Decimals and printed by str, so
+    no int is converted. More than MAX_DIGITS digits is ComputationAbandoned,
+    read from the Decimal's exponent before any text is written. The other
+    methods run on ints and print through ``decimal_text``.
+    """
+    if spec.method != "matrix":
+        return decimal_text(evaluate(spec))
+    _check_spec(spec)
+    value = _decimal_lucas(spec.kind, spec.n, spec.p, spec.q)
+    if value.adjusted() >= MAX_DIGITS:  # adjusted() is the digit count less one
+        raise ComputationAbandoned(f"result has more than {MAX_DIGITS} digits to print")
+    return str(value)
 
 
 def resolve_brute_cap(cap: int | None) -> int:
@@ -396,13 +417,29 @@ def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int
 
 
 def closed_form_count(params: ChainsawParams, family: str) -> int:
-    """i(C(n,a,b)) or i(P(n,a,b)) in closed form: the sum of the stratified closed form.
+    """i(C(n,a,b)) or i(P(n,a,b)) in closed form: the Dickson summation D_n(a,-b) or E_{n+1}(a,-b).
 
-    It equals V_n(a,-b) for chainsaws and U_{n+2}(a,-b) for broken
-    chainsaws; the verification sweep checks that against index doubling
-    rather than assuming it here.
+    The same weights as the stratified closed form, summed in Horner form
+    (``sequences._dickson_sum``), so memory stays linear in the count. It
+    equals V_n(a,-b) for chainsaws and U_{n+2}(a,-b) for broken chainsaws;
+    the verification sweep checks that against index doubling rather than
+    assuming it here.
     """
-    return sum(stratified_closed_form(params, family).values())
+    kind, shift, _ = _family(params, family)
+    return _dickson_sum(kind, params.n + shift, params.a, -params.b)
+
+
+def _decimal_lucas(kind: str, n: int, p, q) -> Decimal:
+    """W_n(p, q) of `kind` as an exact Decimal, by the sequences' index doubling.
+
+    p and q are ints or exact Decimals. Every operation runs in the exact
+    context: outside it one addition rounds a long value to the default
+    28 digits. The closing + 0 there turns the -0 a product with a zero
+    factor can leave (V_3(0, 1)) into 0.
+    """
+    with localcontext(_exact_context()):
+        p, q = Decimal(p), Decimal(q)
+        return _by_matrix(n, p, q, *map(Decimal, _seeds(kind, p))) + 0
 
 
 def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
@@ -426,8 +463,7 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
         x = Decimal(10) ** w
         p = 1 + (params.a - 1) * x
         q = -x * (1 + (params.b - 1) * x)
-        packed = _by_matrix(params.n + shift, p, q, *_seeds(kind, p))
-    digits = str(packed)
+    digits = str(_decimal_lucas(kind, params.n + shift, p, q))
     return [int(Decimal(digits[max(end - w, 0) : end])) for end in range(len(digits), 0, -w)]
 
 

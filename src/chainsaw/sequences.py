@@ -8,10 +8,14 @@ distinguished only by its seeds:
     D (Dickson 1st):  D_0 = 2, D_1 = x
     E (Dickson 2nd):  E_0 = 1, E_1 = x
 
-D and E also have binomial summations, whose summands ``_dickson_terms``
-lists, and every kind takes O(log n) doublings of the pair (U_k, U_{k+1})
-that fixes the k-th power of the 2x2 companion matrix. All values are
-arbitrary-precision Python ints; parameters may be negative or zero.
+D and E also have binomial summations, whose weights ``_dickson_weights``
+carries from term to term: ``_dickson_terms`` lists the summands (the
+closed-form strata) and ``_dickson_sum`` adds them in Horner form, in linear
+memory. Every kind takes O(log n) doublings of the pair (U_k, U_{k+1}) that
+fixes the k-th power of the 2x2 companion matrix. ``evaluate`` returns
+arbitrary-precision Python ints; parameters may be negative or zero. The
+command line prints a ``matrix`` value from the same doubling on exact
+Decimals (``counting.sequence_text``), computed in the base it is printed in.
 """
 
 from __future__ import annotations
@@ -46,39 +50,55 @@ def lucas_V(n: int, p: int, q: int) -> int:
     return _by_recurrence(n, p, q, 2, p)
 
 
-def _dickson_terms(kind: str, n: int, x: int, y: int) -> list[int]:
-    """The summands t = 0..floor(n/2) of D_n(x, y) (kind "D") or E_n(x, y) (kind "E").
+def _dickson_weights(kind: str, n: int, y: int):
+    """The weights c_t = w_t (-y)^t, t = 0..floor(n/2), of D_n(x, y) (kind "D") or E_n(x, y) ("E").
 
-    Term t is w_t (-y)^t x^(n-2t), with w_t = C(n-t, t) for E and
-    n/(n-t) C(n-t, t) for D. w_t (-y)^t is carried to the next term by -y
-    times the ratio (n-2t)(n-2t-1) / ((t+1)(n-t)), n-t-1 in place of n-t for
-    D; the division is exact since the result is an integer. The powers of x
-    are built upwards by x^2, so no term needs a binomial or a fresh power.
+    Term t of the summation is c_t x^(n-2t), with w_t = C(n-t, t) for E and
+    n/(n-t) C(n-t, t) for D. c_t is carried to c_{t+1} by -y times the ratio
+    (n-2t)(n-2t-1) / ((t+1)(n-t)), n-t-1 in place of n-t for D; the
+    division is exact since the result is an integer. So no term needs a
+    binomial.
     """
     if n == 0 and kind == "D":
-        return [2]  # the seed D_0: the weight is 0/0-shaped here
-    top = n // 2
-    terms = [x if n & 1 else 1]  # x^(n - 2*top), then upwards by x^2
-    x2 = x * x
-    for _ in range(top):
-        terms.append(terms[-1] * x2)
-    terms.reverse()  # entry t is x^(n-2t), multiplied in place by w_t (-y)^t below
+        yield 2  # the seed D_0: the weight is 0/0-shaped here
+        return
     shift = 1 if kind == "D" else 0
-    carried = 1  # w_t * (-y)^t
-    for t in range(top):
+    carried = 1
+    yield carried
+    for t in range(n // 2):
         carried = carried * (-y * (n - 2 * t) * (n - 2 * t - 1)) // ((t + 1) * (n - t - shift))
-        terms[t + 1] *= carried
-    return terms
+        yield carried
+
+
+def _dickson_terms(kind: str, n: int, x: int, y: int) -> list[int]:
+    """The summands c_t x^(n-2t), t = 0..floor(n/2), of D_n(x, y) or E_n(x, y).
+
+    The powers of x are built upwards by x^2 from the last term, so no term
+    needs a fresh power.
+    """
+    terms, power, x2 = [], (x if n & 1 else 1), x * x
+    for c in reversed(list(_dickson_weights(kind, n, y))):  # power is x^(n-2t), t downwards
+        terms.append(c * power)
+        power *= x2
+    return terms[::-1]
+
+
+def _dickson_sum(kind: str, n: int, x: int, y: int) -> int:
+    """D_n(x, y) or E_n(x, y) by its summation, in Horner form in x^2: linear memory."""
+    x2, total = x * x, 0
+    for c in _dickson_weights(kind, n, y):
+        total = total * x2 + c
+    return total * x if n & 1 else total
 
 
 def dickson_D_sum(n: int, x: int, y: int) -> int:
     """First-kind Dickson value by its defining summation; D_0 = 2 as the recurrence seed."""
-    return sum(_dickson_terms("D", n, x, y))
+    return _dickson_sum("D", n, x, y)
 
 
 def dickson_E_sum(n: int, x: int, y: int) -> int:
     """Second-kind Dickson value by its defining summation."""
-    return sum(_dickson_terms("E", n, x, y))
+    return _dickson_sum("E", n, x, y)
 
 
 @dataclass(frozen=True)
@@ -115,18 +135,23 @@ def _by_matrix(n: int, p: int, q: int, w0: int, w1: int) -> int:
     return w1 * u1 - q * w0 * u0
 
 
-def evaluate(spec: SequenceSpec) -> int:
-    """Evaluate a SequenceSpec, dispatching on kind and method."""
+def _check_spec(spec: SequenceSpec) -> None:
+    """ValueError unless `spec` names a kind, a method that applies to it and an index n >= 0."""
     if spec.kind not in KINDS:
         raise ValueError(f"unknown sequence kind {spec.kind!r}; expected one of {KINDS}")
     if spec.method not in METHODS:
         raise ValueError(f"unknown method {spec.method!r}; expected one of {METHODS}")
     if spec.n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {spec.n}")
+    if spec.method == "summation" and spec.kind not in ("D", "E"):
+        raise ValueError("summation applies only to Dickson kinds D and E")
+
+
+def evaluate(spec: SequenceSpec) -> int:
+    """Evaluate a SequenceSpec, dispatching on kind and method."""
+    _check_spec(spec)
     if spec.method == "summation":
-        if spec.kind not in ("D", "E"):
-            raise ValueError("summation applies only to Dickson kinds D and E")
-        return sum(_dickson_terms(spec.kind, spec.n, spec.p, spec.q))
+        return _dickson_sum(spec.kind, spec.n, spec.p, spec.q)
     w0, w1 = _seeds(spec.kind, spec.p)
     if spec.method == "recurrence":
         return _by_recurrence(spec.n, spec.p, spec.q, w0, w1)

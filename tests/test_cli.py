@@ -1,5 +1,7 @@
 """Exit codes, output shapes, and determinism of the command-line surface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,16 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chainsaw import _kernels
-from chainsaw.cli import main
+from chainsaw.cli import build_parser, main
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
     DEFAULT_BRUTE_CAP,
     closed_form_polynomial,
+    decimal_text,
     family_graph,
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
-from chainsaw.sequences import lucas_U, lucas_V
+from chainsaw.sequences import SequenceSpec, evaluate, lucas_U, lucas_V
 from helpers import reference_broken_chainsaw
 
 
@@ -290,6 +293,46 @@ class TestSeq:
         rc, _, err = run_cli(capsys, "seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1")
         assert rc == 2
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize("method", ["recurrence", "matrix"])
+    def test_negative_index_message_is_the_same_by_every_method(self, capsys, method):
+        rc, out, err = run_cli(capsys, "seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1",
+                               "--method", method)
+        assert (rc, out) == (2, "")
+        assert err == "error: sequence index must be nonnegative, got -4\n"
+
+    @pytest.mark.parametrize("p", range(-4, 5))
+    @pytest.mark.parametrize("kind", "UVDE")
+    def test_matrix_text_is_the_int_text(self, kind, p):
+        # every n <= 60 and q in [-4, 4]; one parser, as main builds a new one per call
+        parser = build_parser()
+        for n in range(61):
+            for q in range(-4, 5):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    args = parser.parse_args(["seq", "--kind", kind, "--n", str(n), f"--p={p}",
+                                              f"--q={q}", "--method", "matrix"])
+                    assert args.handler(args) == 0
+                expected = decimal_text(evaluate(SequenceSpec(kind, n, p, q, "matrix")))
+                assert out.getvalue() == f"{expected}\n", (kind, n, p, q)
+
+    @pytest.mark.parametrize("kind,n,q", [("V", 3, 1), ("V", 11, 2), ("D", 3, 3), ("E", 11, 1), ("U", 2, 4)])
+    def test_a_zero_prints_without_a_sign(self, capsys, kind, n, q):
+        # all but U_2 leave a negative zero in the Decimal doubling, from products with p = 0
+        assert run_cli(capsys, "seq", "--kind", kind, "--n", str(n), "--p", "0", f"--q={q}",
+                       "--method", "matrix") == (0, "0\n", "")
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from("UVDE"),
+        n=st.integers(0, 5000),
+        p=st.integers(-50, 50),
+        q=st.integers(-50, 50),
+    )
+    def test_matrix_text_is_the_int_text_at_larger_n(self, capsys, kind, n, p, q):
+        expected = decimal_text(evaluate(SequenceSpec(kind, n, p, q, "matrix")))
+        assert run_cli(capsys, "seq", "--kind", kind, "--n", str(n), f"--p={p}", f"--q={q}",
+                       "--method", "matrix") == (0, f"{expected}\n", "")
 
     def test_huge_index_prints_in_full(self, capsys):
         rc, out, _ = run_cli(capsys, "seq", "--kind", "V", "--n", "30000", "--p", "7", "--q", "-3",

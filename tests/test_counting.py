@@ -24,6 +24,7 @@ from chainsaw.counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
+    sequence_text,
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
@@ -384,6 +385,15 @@ class TestClosedForms:
                     lucas = evaluate(SequenceSpec(kind, n + shift, a, -b, "matrix"))
                     assert closed_form_count(ChainsawParams(n, a, b), family) == lucas
 
+    def test_count_is_the_strata_sum_at_large_n(self):
+        # the Horner sum and the listed strata share their weights; doubling is the independent side
+        for family, kind, shift in (("chainsaw", "V", 0), ("broken", "U", 2)):
+            for n, a, b in ((2000, 3, 2), (1999, 4, 1), (2001, 5, 5)):
+                params = ChainsawParams(n, a, b)
+                count = closed_form_count(params, family)
+                assert count == sum(stratified_closed_form(params, family).values())
+                assert count == evaluate(SequenceSpec(kind, n + shift, a, -b, "matrix"))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             closed_form_count(ChainsawParams(2, 2, 1), "circular")
@@ -482,3 +492,41 @@ class TestDecimalText:
         # 2^6700000 has 2016900 digits: refused from its bit length alone
         with pytest.raises(ComputationAbandoned, match="more than 2000000 digits"):
             decimal_text(2**6_700_000)
+
+
+class TestSequenceText:
+    @pytest.mark.parametrize("method", ["recurrence", "summation"])  # matrix: test_cli's grid
+    def test_is_the_text_of_evaluate(self, method):
+        for kind in ("D", "E") if method == "summation" else "UVDE":
+            for n in (0, 1, 2, 7, 300):
+                for p, q in ((3, -2), (-5, 1), (0, 2), (1, 0)):
+                    spec = SequenceSpec(kind, n, p, q, method)
+                    assert sequence_text(spec) == decimal_text(evaluate(spec)), spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SequenceSpec("W", 3, 1, 1, "matrix"),
+            SequenceSpec("U", 3, 1, 1, "doubling"),
+            SequenceSpec("U", -4, 1, 1, "matrix"),
+            SequenceSpec("V", 3, 1, 1, "summation"),
+        ],
+    )
+    def test_refuses_what_evaluate_refuses(self, spec):
+        with pytest.raises(ValueError) as expected:
+            evaluate(spec)
+        with pytest.raises(ValueError) as got:
+            sequence_text(spec)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("p,q", [(7, -3), (-3, -1)])  # U_3000(-3, -1) is negative
+    def test_budget_counts_digits_not_the_sign(self, no_int_limit, monkeypatch, p, q):
+        spec = SequenceSpec("U", 3000, p, q, "matrix")
+        value = evaluate(spec)
+        digits = len(str(abs(value)))
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", digits)
+        assert sequence_text(spec) == str(value)
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", digits - 1)
+        with pytest.raises(ComputationAbandoned) as exc:
+            sequence_text(spec)
+        assert str(exc.value) == f"result has more than {digits - 1} digits to print"

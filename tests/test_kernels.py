@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,18 @@ def test_edgeless_graph_fills_every_stratum():
     # 2^order independent sets; with no chain vertex, stratum 0 takes the largest count a slot holds
     assert _kernels.strata_by_chain_count([0] * 20, 0, 0, 20) == [1 << 20] + [0] * 20
     assert _kernels.strata_by_chain_count([0] * 20, 0, (1 << 20) - 1, 20) == [math.comb(20, t) for t in range(21)]
+
+
+def test_vertices_with_no_free_neighbour_are_factored_out():
+    # 2^25 low-half subsets if each were listed; factored out, both graphs take microseconds
+    chain = sum(1 << v for v in range(1, 49, 3))  # k = 16 chain vertices
+    expected = [math.comb(16, t) << (49 - 16) for t in range(17)] + [0] * 33
+    hub = [sum(1 << v for v in range(1, 49))] + [1] * 48  # vertex 0 looped, every other one on it only
+    for adj, loops, free in (([0] * 49, 0, 49), (hub, 1, 48)):
+        start = time.perf_counter()
+        strata = _kernels.strata_by_chain_count(adj, loops, chain, 49)
+        assert time.perf_counter() - start < 1.0
+        assert strata == [c >> (49 - free) for c in expected]
 
 
 def test_the_backend_is_pure_python():
