@@ -13,9 +13,11 @@ and a fourth that lifts the closed form to the whole polynomial:
   up front and multiplication across connected components. One engine
   serves both, over coefficient tuples or over plain ints at x = 1.
   Components are found once at the start and afterwards only around the
-  removed vertices; only connected subsets are memoized, keyed on the
-  induced vertex subset; the branching runs on an explicit stack, so no
-  interpreter state is touched.
+  removed vertices; a clique piece is 1 + kx at once, from the definition
+  (a set holds at most one vertex of a clique), not from any closed form;
+  only other connected subsets are memoized, keyed on the induced vertex
+  subset; the branching runs on an explicit stack, so no interpreter state
+  is touched.
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms, one entry per number of chain vertices used: the summands
   of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' weights.
@@ -214,7 +216,8 @@ def _components(mask: int, adj: list[int]) -> list[int]:
 def _split(rest: int, seeds: int, adj: list[int]) -> list[int]:
     """Connected components of `rest`, given that each one holds a vertex of `seeds`.
 
-    One breadth-first search starts at every seed, all growing a layer per
+    One breadth-first search starts at every group of seeds joined by edges
+    among the seeds (a blade's seeds are one group), all growing a layer per
     round. Searches that meet merge; a search with nothing left to grow into
     is a whole component. Once at most one search is still growing, the part
     of `rest` the finished ones did not take is the last component, so the
@@ -222,9 +225,13 @@ def _split(rest: int, seeds: int, adj: list[int]) -> list[int]:
     """
     growing: list[tuple[int, int]] = []  # (component so far, its unexpanded frontier)
     while seeds:
-        low = seeds & -seeds
-        seeds ^= low
-        growing.append((low, low))
+        group = seeds & -seeds
+        joined = adj[group.bit_length() - 1] & seeds
+        while joined:
+            group |= joined
+            joined = _neighbours(joined, adj) & seeds & ~group
+        seeds ^= group
+        growing.append((group, group))
     done: list[int] = []
     while len(growing) > 1:
         merged: list[tuple[int, int]] = []
@@ -258,6 +265,17 @@ def _max_degree_vertex(candidates: int, mask: int, adj: list[int]) -> int:
         if deg > best_deg:
             best, best_deg = v, deg
     return best
+
+
+def _is_clique(mask: int, adj: list[int]) -> bool:
+    """Whether every vertex of `mask` is adjacent to all the others."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & mask | low != mask:
+            return False
+    return True
 
 
 def _poly_add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -303,9 +321,14 @@ def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max
     masks are solved and memoized: a connected mask picks a pivot v and
     splits both G - v and G - N[v] into components around the removed
     vertices (`_split`), then joins the component values as
-    I(G - v) + x * I(G - N[v]). The pending work lives on an explicit stack
-    of tasks: a solve task for a connected mask, and a join task that
-    consumes the values its components pushed.
+    I(G - v) + x * I(G - N[v]). If v sees the whole mask and so does every
+    other vertex, the mask is a clique K_k: its value 1 + kx, built once per
+    k from `one`, `add` and `shift`, is pushed without a split or a memo
+    entry. Testing the chosen pivot first keeps that at one comparison per
+    state in graphs without cliques. The pending work lives on an explicit
+    stack of tasks: a solve task for a connected mask, and a join task that
+    consumes the values its components pushed. A pivot_rule that returns a
+    vertex outside the mask is a ValueError.
     """
     adj = _adjacency_masks(g)
     live = 0
@@ -313,6 +336,7 @@ def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max
         if v not in g.loops:
             live |= 1 << v
     single = add(one, shift(one))
+    cliques: dict = {}  # k -> 1 + kx
     memo: dict = {}
     values: list = []
     roots = _components(live, adj)
@@ -339,8 +363,22 @@ def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max
         if cached is not None:
             values.append(cached)
             continue
-        v = pivot_rule(mask, adj) if pivot_rule else _max_degree_vertex(arg, mask, adj)
+        if pivot_rule:
+            v = pivot_rule(mask, adj)
+            if not (0 <= v and mask >> v & 1):
+                raise ValueError(f"pivot_rule chose vertex {v}, which is not in the subset {mask:#x}")
+        else:
+            v = _max_degree_vertex(arg, mask, adj)
         closed = adj[v] & mask | 1 << v
+        if closed == mask and _is_clique(mask, adj):
+            k = mask.bit_count()
+            if k not in cliques:
+                value = one
+                for _ in range(k):
+                    value = add(value, shift(one))
+                cliques[k] = value
+            values.append(cliques[k])
+            continue
         reach = _neighbours(closed, adj)
         rest_without = mask ^ (1 << v)
         rest_with = mask & ~closed
@@ -371,12 +409,16 @@ def independence_polynomial(
 
     By default v is a maximum-degree vertex among the survivors next to the
     last removed vertices (the whole component at the start), ties to the
-    lowest index; a ``pivot_rule(mask, adj)`` overrides it. Only connected
-    subproblems are memoized, keyed on the induced vertex subset as a
-    bitmask over the original vertex numbering. The branching runs on an
-    explicit stack, so no interpreter state is touched however deep it
-    goes. Exhausting ``max_states`` memo entries raises
-    ComputationAbandoned rather than ever returning a wrong answer.
+    lowest index; a ``pivot_rule(mask, adj)`` overrides it, and must return
+    a vertex of `mask` (else ValueError). A connected subproblem that is a
+    clique K_k is 1 + kx at once: that is the definition, as an independent
+    set holds at most one vertex of a clique, so elimination still rests on
+    no closed form and on no oracle. Only other connected subproblems are
+    memoized, keyed on the induced vertex subset as a bitmask over the
+    original vertex numbering. The branching runs on an explicit stack, so
+    no interpreter state is touched however deep it goes. Exhausting
+    ``max_states`` memo entries raises ComputationAbandoned rather than ever
+    returning a wrong answer.
     """
     return list(_eliminate(g, (1,), _poly_add, _poly_shift, _poly_mul, pivot_rule, max_states))
 

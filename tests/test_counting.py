@@ -169,6 +169,13 @@ class TestElimination:
             with pytest.raises(ComputationAbandoned, match="abandoned"):
                 engine(make_cycle(10), max_states=1)
 
+    @pytest.mark.parametrize("pivot", [0, -1, 99], ids=["outside-the-subset", "negative", "past-the-order"])
+    @pytest.mark.parametrize("engine", [independence_polynomial, count_via_elimination])
+    def test_a_pivot_outside_the_subset_is_a_value_error(self, engine, pivot):
+        # vertex 0 is in the whole path but not in the piece {1, 2} left once it is removed
+        with pytest.raises(ValueError, match=f"pivot_rule chose vertex {pivot}, which is not in the subset"):
+            engine(make_path(3), pivot_rule=lambda mask, adj: pivot, max_states=1000)
+
     def test_count_path_abandons_a_large_graph(self):
         with pytest.raises(ComputationAbandoned, match="after 10 memo entries"):
             count_via_elimination(make_chainsaw(ChainsawParams(3000, 3, 2)), max_states=10)
@@ -192,6 +199,62 @@ class TestElimination:
         with pytest.raises(ComputationAbandoned):
             independence_polynomial(big, max_states=10)
         assert sys.getrecursionlimit() == before
+
+
+def _clique(k: int, loops=()) -> Graph:
+    return Graph.build(k, [(u, v) for u in range(k) for v in range(u)], loops)
+
+
+@st.composite
+def _clique_rich_graph(draw):
+    """Random cliques plus sparse extra edges and loops, at most 16 vertices."""
+    order = draw(st.integers(0, 16))
+    vertex = st.integers(0, max(order - 1, 0))
+    edges = set()
+    if order:
+        for members in draw(st.lists(st.sets(vertex, max_size=7), max_size=4)):
+            edges.update((u, v) for u in members for v in members if u < v)
+        edges.update(draw(st.lists(st.tuples(vertex, vertex), max_size=order // 2)))
+    loops = draw(st.sets(vertex, max_size=2)) if order else set()
+    return Graph.build(order, sorted(edges), loops)
+
+
+class TestCliquePieces:
+    """A clique piece is closed as 1 + kx in one step: at most one vertex of a clique is in any set."""
+
+    @pytest.mark.parametrize(
+        "k,loops",
+        [(k, ()) for k in range(1, 13)] + [(2, [0]), (5, [1, 3]), (8, [0, 7]), (12, range(0, 12, 3)), (4, range(4))],
+    )
+    def test_a_clique_counts_one_more_than_its_unlooped_vertices(self, k, loops):
+        free = k - len(set(loops))
+        assert count_via_elimination(_clique(k, loops)) == free + 1
+        assert independence_polynomial(_clique(k, loops)) == ([1, free] if free else [1])
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 3), (3, 3, 3), (1, 4, 7, 2), (12, 12)])
+    def test_disjoint_cliques_multiply(self, sizes):
+        g = Graph.build(0)
+        want = [1]
+        for k in sizes:
+            g = _disjoint_union(g, _clique(k))
+            want = _convolve(want, [1, k])
+        assert independence_polynomial(g) == want
+        assert count_via_elimination(g) == math.prod(k + 1 for k in sizes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_clique_rich_graph())
+    def test_clique_rich_graphs_agree_with_the_oracle(self, g):
+        count = count_brute_force(g)
+        assert count_via_elimination(g) == count
+        assert sum(brute_force_strata(g).values()) == count
+        assert sum(independence_polynomial(g)) == count
+        lowest = lambda mask, adj: (mask & -mask).bit_length() - 1
+        assert independence_polynomial(g, pivot_rule=lowest) == independence_polynomial(g)
+
+    def test_a_clique_piece_takes_no_memo_entry(self):
+        # make_cycle(10) at max_states=1 still abandons: test_state_budget_abandons_rather_than_lying
+        assert count_via_elimination(_clique(40), max_states=1) == 41
+        assert independence_polynomial(_clique(40), max_states=1) == [1, 40]
 
 
 class TestFamilyProperties:

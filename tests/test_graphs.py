@@ -5,6 +5,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsaw.graphs import (
     BLADE,
@@ -391,5 +393,71 @@ class TestExport:
         with pytest.raises(ValueError, match="malformed"):
             graph_from_json(text)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([make_chainsaw, make_broken_chainsaw]),
+        st.integers(0, 12),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_every_generated_graph_survives_the_json_round_trip(self, build, n, a, data):
+        if build is make_chainsaw:
+            n = max(n, 1)
+        graph = build(ChainsawParams(n, a, data.draw(st.integers(1, a))))
+        assert graph_from_json(export_graph(graph, "json")) == graph
+
     def test_format_list_is_stable(self):
         assert EXPORT_FORMATS == ("edge-list", "dimacs", "json")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _export_shaped(draw):
+    """A json export of a small graph, each field kept, dropped or replaced by any json value."""
+    order = draw(st.integers(0, 6))
+    vertex = st.integers(-1, order)
+    obj = {
+        "order": order,
+        "edges": draw(st.lists(st.lists(vertex, min_size=2, max_size=2) | _JSON_VALUES, max_size=6)),
+        "loops": draw(st.lists(vertex | _JSON_VALUES, max_size=3)),
+        "roles": draw(st.lists(st.sampled_from([CHAIN, BLADE]), min_size=order, max_size=order)),
+    }
+    for key in list(obj):
+        fate = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+        if fate == "drop":
+            del obj[key]
+        elif fate == "replace":
+            obj[key] = draw(_JSON_VALUES)
+    return obj
+
+
+def _graph_or_value_error(text):
+    """graph_from_json(text) is a Graph or a ValueError (NotAnInt included), never another exception."""
+    try:
+        graph = graph_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(graph, Graph)
+
+
+class TestJsonFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_any_text_is_a_graph_or_a_value_error(self, text):
+        _graph_or_value_error(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_any_json_value_is_a_graph_or_a_value_error(self, value):
+        _graph_or_value_error(json.dumps(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_export_shaped())
+    def test_any_export_shaped_object_is_a_graph_or_a_value_error(self, obj):
+        _graph_or_value_error(json.dumps(obj))
