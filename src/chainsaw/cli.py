@@ -19,6 +19,7 @@ import sys
 from .counting import (
     ComputationAbandoned,
     OracleCapExceeded,
+    _ENCODING,
     _check_cap,
     _family_order,
     closed_form_count,
@@ -30,7 +31,7 @@ from .counting import (
     sequence_text,
 )
 from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_json
-from .sequences import METHODS, SequenceSpec
+from .sequences import KINDS, METHODS, SequenceSpec
 from .verify import InjectedGraph, run_verification
 
 GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.set_defaults(handler=_cmd_poly)
 
     seq = commands.add_parser("seq", help="evaluate a Lucas or Dickson value")
-    seq.add_argument("--kind", required=True, choices=("U", "V", "D", "E"))
+    seq.add_argument("--kind", required=True, choices=KINDS)
     seq.add_argument("--n", required=True, type=int)
     seq.add_argument("--p", required=True, type=int)
     seq.add_argument("--q", required=True, type=int)
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a-max", default=4, type=int)
     verify.add_argument("--brute-cap", type=int, help="default: the oracle's cap")
     verify.add_argument("--inject-graph", help="path to a json graph export to cross-check")
-    verify.add_argument("--inject-family", choices=("chainsaw", "broken"))
+    verify.add_argument("--inject-family", choices=tuple(_ENCODING))
     verify.add_argument("--inject-n", type=int)
     verify.add_argument("--inject-a", type=int)
     verify.add_argument("--inject-b", type=int)

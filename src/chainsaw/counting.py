@@ -12,12 +12,13 @@ and a fourth that lifts the closed form to the whole polynomial:
   identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
   up front and multiplication across connected components. One engine
   serves both, over coefficient tuples or over plain ints at x = 1.
-  Components are found once at the start and afterwards only around the
-  removed vertices; a clique piece is 1 + kx at once, from the definition
-  (a set holds at most one vertex of a clique), not from any closed form;
-  only other connected subsets are memoized, keyed on the induced vertex
-  subset; the branching runs on an explicit stack, so no interpreter state
-  is touched.
+  One split search finds every component: at the start with each live
+  vertex as a seed, afterwards only around the removed vertices. Every
+  pivot is a vertex of maximum degree among the seeds; a clique piece is
+  1 + kx at once, from the definition (a set holds at most one vertex of a
+  clique), not from any closed form; only other connected subsets are
+  memoized, keyed on the induced vertex subset; the branching runs on an
+  explicit stack, so no interpreter state is touched.
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms, one entry per number of chain vertices used: the summands
   of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' weights.
@@ -70,8 +71,6 @@ _ENCODING = {
     "chainsaw": ("D", 0, lambda params: make_chainsaw(params)),
     "broken": ("E", 1, lambda params: make_broken_chainsaw(params)),
 }
-
-PivotRule = Callable[[int, list[int]], int]
 
 
 class OracleCapExceeded(RuntimeError):
@@ -199,20 +198,6 @@ def _neighbours(mask: int, adj: list[int]) -> int:
     return out
 
 
-def _components(mask: int, adj: list[int]) -> list[int]:
-    comps = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            frontier = _neighbours(frontier, adj) & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
 def _split(rest: int, seeds: int, adj: list[int]) -> list[int]:
     """Connected components of `rest`, given that each one holds a vertex of `seeds`.
 
@@ -314,34 +299,31 @@ def _product(values: list, one, mul):
 _SOLVE, _JOIN = 0, 1
 
 
-def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max_states: int):
+def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     """I(G) evaluated in the value type given by `one`, `add`, `shift` (times x) and `mul`.
 
-    Works on vertex bitmasks over the original numbering. Only connected
-    masks are solved and memoized: a connected mask picks a pivot v and
-    splits both G - v and G - N[v] into components around the removed
-    vertices (`_split`), then joins the component values as
+    Works on vertex bitmasks over the original numbering. `_split` with
+    every live vertex as a seed finds the root components. Only connected
+    masks are solved and memoized: a connected mask takes as pivot v a
+    maximum-degree vertex among its seeds (`_max_degree_vertex`), splits
+    both G - v and G - N[v] into components around the removed vertices
+    (`_split`), then joins the component values as
     I(G - v) + x * I(G - N[v]). If v sees the whole mask and so does every
     other vertex, the mask is a clique K_k: its value 1 + kx, built once per
     k from `one`, `add` and `shift`, is pushed without a split or a memo
     entry. Testing the chosen pivot first keeps that at one comparison per
     state in graphs without cliques. The pending work lives on an explicit
     stack of tasks: a solve task for a connected mask, and a join task that
-    consumes the values its components pushed. A pivot_rule that returns a
-    vertex outside the mask is a ValueError.
+    consumes the values its components pushed.
     """
     adj = _adjacency_masks(g)
-    live = 0
-    for v in range(g.order):
-        if v not in g.loops:
-            live |= 1 << v
+    live = ((1 << g.order) - 1) & ~sum(1 << v for v in g.loops)
     single = add(one, shift(one))
     cliques: dict = {}  # k -> 1 + kx
     memo: dict = {}
     values: list = []
-    roots = _components(live, adj)
-    # a root component scans all its vertices for a pivot; a split piece, only its seeds
-    tasks: list[tuple] = [(_SOLVE, comp, comp) for comp in reversed(roots)]
+    # every live vertex seeds the root split, so a root piece scans all its vertices for a pivot
+    tasks: list[tuple] = [(_SOLVE, comp, comp) for comp in reversed(_split(live, live, adj))]
     while tasks:
         kind, mask, arg = tasks.pop()
         if kind == _JOIN:
@@ -363,12 +345,7 @@ def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max
         if cached is not None:
             values.append(cached)
             continue
-        if pivot_rule:
-            v = pivot_rule(mask, adj)
-            if not (0 <= v and mask >> v & 1):
-                raise ValueError(f"pivot_rule chose vertex {v}, which is not in the subset {mask:#x}")
-        else:
-            v = _max_degree_vertex(arg, mask, adj)
+        v = _max_degree_vertex(arg, mask, adj)
         closed = adj[v] & mask | 1 << v
         if closed == mask and _is_clique(mask, adj):
             k = mask.bit_count()
@@ -392,12 +369,7 @@ def _eliminate(g: Graph, one, add, shift, mul, pivot_rule: PivotRule | None, max
     return _product(values, one, mul)
 
 
-def independence_polynomial(
-    g: Graph,
-    *,
-    pivot_rule: PivotRule | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> list[int]:
+def independence_polynomial(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> list[int]:
     """Exact coefficients [i_0(G), i_1(G), ...] of the independence polynomial.
 
     Looped vertices are discarded first (they join no independent set).
@@ -407,10 +379,9 @@ def independence_polynomial(
 
         I(G) = I(G - v) + x * I(G - N[v])
 
-    By default v is a maximum-degree vertex among the survivors next to the
-    last removed vertices (the whole component at the start), ties to the
-    lowest index; a ``pivot_rule(mask, adj)`` overrides it, and must return
-    a vertex of `mask` (else ValueError). A connected subproblem that is a
+    The pivot v is a fixed choice: a maximum-degree vertex among the
+    survivors next to the last removed vertices (the whole component at the
+    start), ties to the lowest index. A connected subproblem that is a
     clique K_k is 1 + kx at once: that is the definition, as an independent
     set holds at most one vertex of a clique, so elimination still rests on
     no closed form and on no oracle. Only other connected subproblems are
@@ -420,17 +391,12 @@ def independence_polynomial(
     ``max_states`` memo entries raises ComputationAbandoned rather than ever
     returning a wrong answer.
     """
-    return list(_eliminate(g, (1,), _poly_add, _poly_shift, _poly_mul, pivot_rule, max_states))
+    return list(_eliminate(g, (1,), _poly_add, _poly_shift, _poly_mul, max_states))
 
 
-def count_via_elimination(
-    g: Graph,
-    *,
-    pivot_rule: PivotRule | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> int:
+def count_via_elimination(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> int:
     """i(G) = I(G; 1): the same elimination as the polynomial, on plain ints at x = 1."""
-    return _eliminate(g, 1, operator.add, _identity, operator.mul, pivot_rule, max_states)
+    return _eliminate(g, 1, operator.add, _identity, operator.mul, max_states)
 
 
 def _family(params: ChainsawParams, family: str) -> tuple[str, int, Callable[[ChainsawParams], Graph]]:

@@ -142,6 +142,7 @@ class ChainsawParams:
     """The (n, a, b) triple: chain length, blade size, and the wiring gap a-b.
 
     n = 0 is admitted for P(0, a, b); C(n, a, b) itself needs n >= 1.
+    A field whose type is not exactly int is NotAnInt.
     """
 
     n: int
@@ -149,6 +150,8 @@ class ChainsawParams:
     b: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "a", "b"):
+            _check_int(getattr(self, name), name)
         if self.n < 0 or self.b < 1 or self.a < self.b:
             raise ValueError(
                 f"chainsaw parameters require n >= 0 and a >= b >= 1, "

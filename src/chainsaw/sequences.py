@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .graphs import _check_int
+
 KINDS = ("U", "V", "D", "E")
 METHODS = ("recurrence", "summation", "matrix")
 
@@ -136,7 +138,9 @@ def _by_matrix(n: int, p: int, q: int, w0: int, w1: int) -> int:
 
 
 def _check_spec(spec: SequenceSpec) -> None:
-    """ValueError unless `spec` names a kind, a method that applies to it and an index n >= 0."""
+    """ValueError unless `spec` has int n, p and q and names a kind, a method for it and n >= 0."""
+    for name in ("n", "p", "q"):
+        _check_int(getattr(spec, name), name)
     if spec.kind not in KINDS:
         raise ValueError(f"unknown sequence kind {spec.kind!r}; expected one of {KINDS}")
     if spec.method not in METHODS:

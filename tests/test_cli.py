@@ -15,13 +15,14 @@ from chainsaw.cli import build_parser, main
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
     DEFAULT_BRUTE_CAP,
+    _ENCODING,
     closed_form_polynomial,
     decimal_text,
     family_graph,
     stratified_closed_form,
 )
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
-from chainsaw.sequences import SequenceSpec, evaluate, lucas_U, lucas_V
+from chainsaw.sequences import KINDS, SequenceSpec, evaluate, lucas_U, lucas_V
 from helpers import reference_broken_chainsaw
 
 
@@ -611,6 +612,23 @@ def usage_error(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+class TestChoiceLists:
+    """Option choices are read from the tables they name, so a new kind or family needs no second edit."""
+
+    @staticmethod
+    def choices(command, option):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        return next(a.choices for a in commands[command]._actions if option in a.option_strings)
+
+    def test_seq_kinds_are_the_sequence_kinds(self):
+        assert self.choices("seq", "--kind") is KINDS
+
+    def test_injected_families_are_the_family_table(self, monkeypatch):
+        assert self.choices("verify", "--inject-family") == ("chainsaw", "broken")
+        monkeypatch.setitem(_ENCODING, "twin", _ENCODING["chainsaw"])
+        assert self.choices("verify", "--inject-family") == ("chainsaw", "broken", "twin")
 
 
 class TestBench:

@@ -1,6 +1,7 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
 import decimal
+import inspect
 import json
 import math
 import random
@@ -37,6 +38,14 @@ def _disjoint_union(g1: Graph, g2: Graph) -> Graph:
     edges = g1.edges() + [(u + off, v + off) for u, v in g2.edges()]
     loops = list(g1.loops) + [v + off for v in g2.loops]
     return Graph.build(g1.order + g2.order, edges, loops, g1.roles + g2.roles)
+
+
+def _lowest_candidate(candidates, mask, adj):
+    return (candidates & -candidates).bit_length() - 1
+
+
+def _highest_candidate(candidates, mask, adj):
+    return candidates.bit_length() - 1
 
 
 def _convolve(p, q):
@@ -130,13 +139,23 @@ class TestElimination:
         assert brute_force_strata(g) == reference_strata(g)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_pivot_choice_cannot_change_the_polynomial(self, seed):
+    def test_pivot_choice_cannot_change_the_polynomial(self, monkeypatch, seed):
         g = random_graph(random.Random(2000 + seed), max_order=11)
-        lowest = lambda mask, adj: (mask & -mask).bit_length() - 1
-        highest = lambda mask, adj: mask.bit_length() - 1
         default = independence_polynomial(g)
-        assert independence_polynomial(g, pivot_rule=lowest) == default
-        assert independence_polynomial(g, pivot_rule=highest) == default
+        for chooser in (_lowest_candidate, _highest_candidate):
+            monkeypatch.setattr("chainsaw.counting._max_degree_vertex", chooser)
+            assert independence_polynomial(g) == default
+            assert count_via_elimination(g) == sum(default)
+
+    def test_the_root_split_of_isolated_vertices(self):
+        # every vertex its own root component: each a one-vertex piece, 1 + x
+        assert count_via_elimination(Graph.build(60)) == 2**60
+        assert independence_polynomial(Graph.build(12)) == [math.comb(12, k) for k in range(13)]
+
+    def test_the_root_split_of_looped_vertices_is_empty(self):
+        g = Graph.build(5, loops=range(5))
+        assert count_via_elimination(g) == 1
+        assert independence_polynomial(g) == [1]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_components_multiply(self, seed):
@@ -164,17 +183,14 @@ class TestElimination:
         denser = Graph.build(g.order, g.edges() + [(u, v)], g.loops, g.roles)
         assert count_via_elimination(denser) < count_via_elimination(g)
 
+    @pytest.mark.parametrize("engine", [independence_polynomial, count_via_elimination])
+    def test_an_engine_takes_only_the_graph_and_a_budget(self, engine):
+        assert list(inspect.signature(engine).parameters) == ["g", "max_states"]
+
     def test_state_budget_abandons_rather_than_lying(self):
         for engine in (independence_polynomial, count_via_elimination):
             with pytest.raises(ComputationAbandoned, match="abandoned"):
                 engine(make_cycle(10), max_states=1)
-
-    @pytest.mark.parametrize("pivot", [0, -1, 99], ids=["outside-the-subset", "negative", "past-the-order"])
-    @pytest.mark.parametrize("engine", [independence_polynomial, count_via_elimination])
-    def test_a_pivot_outside_the_subset_is_a_value_error(self, engine, pivot):
-        # vertex 0 is in the whole path but not in the piece {1, 2} left once it is removed
-        with pytest.raises(ValueError, match=f"pivot_rule chose vertex {pivot}, which is not in the subset"):
-            engine(make_path(3), pivot_rule=lambda mask, adj: pivot, max_states=1000)
 
     def test_count_path_abandons_a_large_graph(self):
         with pytest.raises(ComputationAbandoned, match="after 10 memo entries"):
@@ -247,9 +263,12 @@ class TestCliquePieces:
         count = count_brute_force(g)
         assert count_via_elimination(g) == count
         assert sum(brute_force_strata(g).values()) == count
-        assert sum(independence_polynomial(g)) == count
-        lowest = lambda mask, adj: (mask & -mask).bit_length() - 1
-        assert independence_polynomial(g, pivot_rule=lowest) == independence_polynomial(g)
+        default = independence_polynomial(g)
+        assert sum(default) == count
+        for chooser in (_lowest_candidate, _highest_candidate):
+            with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would outlive the examples
+                patch.setattr("chainsaw.counting._max_degree_vertex", chooser)
+                assert independence_polynomial(g) == default
 
     def test_a_clique_piece_takes_no_memo_entry(self):
         # make_cycle(10) at max_states=1 still abandons: test_state_budget_abandons_rather_than_lying
@@ -573,6 +592,9 @@ class TestSequenceText:
             SequenceSpec("U", 3, 1, 1, "doubling"),
             SequenceSpec("U", -4, 1, 1, "matrix"),
             SequenceSpec("V", 3, 1, 1, "summation"),
+            SequenceSpec("D", 10, 0.5, 2, "matrix"),
+            SequenceSpec("D", 10.0, 3, 2, "summation"),
+            SequenceSpec("U", 5, 1, True, "recurrence"),
         ],
     )
     def test_refuses_what_evaluate_refuses(self, spec):

@@ -95,6 +95,13 @@ class TestChainsawParams:
         with pytest.raises(ValueError):
             ChainsawParams(n, a, b)
 
+    @pytest.mark.parametrize("field", ["n", "a", "b"])
+    def test_a_field_that_is_not_an_int_is_rejected(self, field):
+        # a float a once gave closed_form_count(ChainsawParams(5, 2.5, 1), "chainsaw") = 188.28125
+        for value in (2.5, 5.0, True):
+            with pytest.raises(NotAnInt, match=f"^{field} must be an int, got {value!r}$"):
+                ChainsawParams(**{"n": 5, "a": 2, "b": 1, field: value})
+
     def test_boundary_values_accepted(self):
         ChainsawParams(1, 1, 1)
         ChainsawParams(8, 4, 4)

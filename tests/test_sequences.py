@@ -1,11 +1,14 @@
 """Seed values, frozen examples, and engine agreement for the sequence module."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainsaw.graphs import NotAnInt
 from chainsaw.sequences import (
     KINDS,
     METHODS,
@@ -177,6 +180,15 @@ class TestEvaluate:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             evaluate(SequenceSpec("U", 3, 1, 1, "telescoping"))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("field", ["n", "p", "q"])
+    def test_a_field_that_is_not_an_int_is_rejected(self, field, method):
+        # a float p once gave D_10(0.5, 2) = 13.1103515625 by every method
+        for value in (0.5, 10.0, True):
+            spec = dataclasses.replace(SequenceSpec("D", 10, 3, 2, method), **{field: value})
+            with pytest.raises(NotAnInt, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+                evaluate(spec)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
