@@ -6,8 +6,9 @@ memory, or a result of more than ``counting.MAX_DIGITS`` digits to print).
 All output is written to stdout and is byte-deterministic for identical
 invocations. Every integer printed goes through ``counting.decimal_text``,
 except a ``seq --method matrix`` value, which ``counting.sequence_text``
-computes on exact Decimals and prints by str; so no interpreter setting
-changes what prints.
+computes on exact Decimals and prints by str, and the coefficients of a
+packed ``poly``, which ``counting.polynomial_text`` cuts from such a
+Decimal's digits; so no interpreter setting changes what prints.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .counting import (
     _check_cap,
     _family_order,
     closed_form_count,
-    closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
     decimal_text,
     family_graph,
+    polynomial_text,
     sequence_text,
 )
 from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_json
@@ -69,7 +70,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    print(decimal_text(closed_form_polynomial(*_family_params(args))))
+    print(polynomial_text(*_family_params(args)))
     return 0
 
 

@@ -43,7 +43,7 @@ def _check_int(value, what: str) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable labeled graph. Build instances with :meth:`Graph.build`."""
+    """Immutable labeled graph. Build instances with :meth:`Graph.build`; direct ones are checked alike."""
 
     order: int
     adjacency: tuple[frozenset[int], ...]
@@ -51,20 +51,25 @@ class Graph:
     roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_int(self.order, "order")
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {self.order}")
-        if len(self.adjacency) != self.order or len(self.roles) != self.order:
+        order, adjacency = self.order, self.adjacency
+        if len(adjacency) != order or len(self.roles) != order:
             raise ValueError("adjacency and roles must have exactly `order` entries")
-        for v, nbrs in enumerate(self.adjacency):
-            for u in nbrs:
-                if not 0 <= u < self.order:
+        for v, nbrs in enumerate(adjacency):
+            for u in nbrs:  # checked inline: every generated graph passes each neighbor here
+                if type(u) is not int:
+                    raise NotAnInt(f"neighbor of vertex {v} must be an int, got {u!r}")
+                if not 0 <= u < order:
                     raise ValueError(f"neighbor {u} of vertex {v} out of range")
-                if v not in self.adjacency[u]:
+                if v not in adjacency[u]:
                     raise ValueError(f"adjacency not symmetric at edge ({v}, {u})")
             if v in nbrs:
                 raise ValueError(f"self-loop on {v} must be in `loops`, not adjacency")
         for v in self.loops:
-            if not 0 <= v < self.order:
+            _check_int(v, "looped vertex")
+            if not 0 <= v < order:
                 raise ValueError(f"looped vertex {v} out of range")
         for v, r in enumerate(self.roles):
             if r not in (CHAIN, BLADE):

@@ -15,7 +15,8 @@ memory. Every kind takes O(log n) doublings of the pair (U_k, U_{k+1}) that
 fixes the k-th power of the 2x2 companion matrix. ``evaluate`` returns
 arbitrary-precision Python ints; parameters may be negative or zero. The
 command line prints a ``matrix`` value from the same doubling on exact
-Decimals (``counting.sequence_text``), computed in the base it is printed in.
+Decimals (``counting.sequence_text``), computed in the base it is printed in,
+and ``poly`` runs it on the packed factors of ``counting._Packed``.
 """
 
 from __future__ import annotations
@@ -114,27 +115,40 @@ class SequenceSpec:
     method: str = "recurrence"
 
 
-def _seeds(kind: str, p: int) -> tuple[int, int]:
+def _seeds(kind: str, p):
     return {"U": (0, 1), "V": (2, p), "D": (2, p), "E": (1, p)}[kind]
 
 
-def _by_matrix(n: int, p: int, q: int, w0: int, w1: int) -> int:
+def _by_matrix(n: int, p, q, w0, w1):
     """W_n by binary powering of the companion matrix M = [[p, -q], [1, 0]], as two entries.
 
     M^k = [[U_{k+1}, -q U_k], [U_k, -q U_{k-1}]] is fixed by (U_k, U_{k+1}); on that pair
     squaring is U_{2k} = U_k (2 U_{k+1} - p U_k), U_{2k+1} = U_{k+1}^2 - q U_k^2 (Joye
     and Quisquater 1996) and a step by M is U_{k+2} = p U_{k+1} - q U_k. As M maps
-    (W_k, W_{k-1}) to (W_{k+1}, W_k), W_n = w1 U_n - q w0 U_{n-1}. Only +, - and * touch
-    the operands, so exact Decimals work as well as ints.
+    (W_k, W_{k-1}) to (W_{k+1}, W_k), W_j = w1 U_j - q w0 U_{j-1} and
+    W_{i+j} = W_{j+1} U_i - q W_j U_{i-1}. So the doubling stops at half index: with
+    m = floor(n/2) and e = n mod 2 it reaches (U_{m-1}, U_m), steps once to U_{m+1}, and
+    W_n = W_{m+1} U_{m+e} - q W_m U_{m+e-1} costs two products of half-width factors.
+
+    p, q and w1 are only ever the left factor of a product, and nothing but +, - and *
+    touches the operands, so p and q may be ints, exact Decimals or any value that
+    multiplies from the left, such as the packed factors of ``counting``; w1 is 1 or p.
     """
-    if n == 0:
-        return w0
+    if n < 2:
+        return w1 * 1 if n else w0  # w1 may be such a factor: W_1 = w1 U_1
+    m = n >> 1
     u0, u1 = 0, 1  # (U_k, U_{k+1}) at k = 0
-    for bit in bin(n - 1)[2:]:
+    for bit in bin(m - 1)[2:]:  # up to k = m - 1
         u0, u1 = u0 * (2 * u1 - p * u0), u1 * u1 - q * (u0 * u0)
         if bit == "1":
             u0, u1 = u1, p * u1 - q * u0
-    return w1 * u1 - q * w0 * u0
+    u2 = p * u1 - q * u0  # (u0, u1, u2) = (U_{m-1}, U_m, U_{m+1})
+    low, high = w1 * u1 - q * (w0 * u0), w1 * u2 - q * (w0 * u1)  # W_m, W_{m+1}
+    if n & 1:
+        u0, u1 = u1, u2
+    high *= u1  # W_{m+1} U_{m+e}; free the dead factors before the second product
+    del u1, u2
+    return high - (q * low) * u0
 
 
 def _check_spec(spec: SequenceSpec) -> None:

@@ -214,6 +214,19 @@ class TestPoly:
         monkeypatch.setattr("chainsaw.counting._eliminate", refuse)
         assert run_cli(capsys, "poly", *argv) == (0, expected, "")
 
+    @pytest.mark.parametrize("family", ["chainsaw", "broken"])
+    def test_text_is_the_text_of_the_coefficients(self, capsys, family):
+        # the slots are printed as they stand, so they must read as the ints would:
+        # every 1 <= b <= a <= 6 on n <= 6, and the a = 1 rows further out
+        rows = [(n, a, b) for n in range(7) for a in range(1, 7) for b in range(1, a + 1)]
+        rows += [(n, 1, 1) for n in range(7, 41)]
+        for n, a, b in rows:
+            if n == 0 and family == "chainsaw":
+                continue
+            want = decimal_text(closed_form_polynomial(ChainsawParams(n, a, b), family))
+            argv = ("poly", "--family", family, "--n", str(n), "--a", str(a), "--b", str(b))
+            assert run_cli(capsys, *argv) == (0, f"{want}\n", ""), (n, a, b)
+
     @pytest.mark.parametrize("plain,row", [("path", "broken"), ("cycle", "chainsaw")])
     def test_unit_blades_never_pack(self, capsys, monkeypatch, plain, row):
         # at a = 1 every vertex is a chain vertex, so the strata are the coefficients

@@ -1,5 +1,6 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
+import dataclasses
 import decimal
 import inspect
 import json
@@ -16,6 +17,8 @@ from chainsaw.counting import (
     ComputationAbandoned,
     OracleCapExceeded,
     _ENCODING,
+    _Packed,
+    _exact_context,
     _family_order,
     brute_force_strata,
     closed_form_count,
@@ -321,6 +324,28 @@ class TestClosedFormPolynomial:
         assert closed_form_polynomial(unit, "chainsaw") == cycle
         assert closed_form_polynomial(unit, "broken") == path
 
+    @pytest.mark.parametrize("family", ["chainsaw", "broken"])
+    def test_matches_elimination_on_a_grid(self, family):
+        # every 1 <= b <= a <= 6 and n <= 6: b = 1 makes q a single shift, a = b leaves no
+        # wiring, and the doubling's half index m = floor((n + shift) / 2) is 0, 1, 2 and 3
+        for n in range(0 if family == "broken" else 1, 7):
+            for a in range(1, 7):
+                for b in range(1, a + 1):
+                    params = ChainsawParams(n, a, b)
+                    want = independence_polynomial(family_graph(params, family))
+                    assert closed_form_polynomial(params, family) == want, params
+
+    @pytest.mark.parametrize("w", [1, 3, 40])
+    def test_packed_factors_multiply_by_their_value(self, w):
+        # an int or a Decimal times 1 + (a-1) x or -x (1 + (b-1) x) at x = 10^w, exactly
+        x = 10**w
+        with decimal.localcontext(_exact_context()):
+            for a, b in ((2, 1), (5, 3), (7, 7)):
+                p, q = _Packed(0, 1, a - 1, w), _Packed(1, -1, 1 - b, w)
+                for factor, value in ((p, 1 + (a - 1) * x), (q, -x * (1 + (b - 1) * x))):
+                    for v in (0, 1, -7, 12345678901234567890123, decimal.Decimal(-10**30 - 3)):
+                        assert factor * v == value * int(v)
+
     def test_frozen_examples(self):
         assert closed_form_polynomial(ChainsawParams(5, 3, 2), "broken") == [1, 17, 111, 357, 601, 507, 169]
         assert closed_form_polynomial(ChainsawParams(1, 1, 1), "chainsaw") == [1]
@@ -577,13 +602,18 @@ class TestDecimalText:
 
 
 class TestSequenceText:
-    @pytest.mark.parametrize("method", ["recurrence", "summation"])  # matrix: test_cli's grid
+    @pytest.mark.parametrize("method", ["recurrence", "summation", "matrix"])
     def test_is_the_text_of_evaluate(self, method):
+        # one grid for every method: both parities of matrix's half-index finish, n < 2,
+        # p = 0, q = 0 and p^2 = 4q; each value is the recurrence's, as an int and as text
         for kind in ("D", "E") if method == "summation" else "UVDE":
-            for n in (0, 1, 2, 7, 300):
-                for p, q in ((3, -2), (-5, 1), (0, 2), (1, 0)):
-                    spec = SequenceSpec(kind, n, p, q, method)
-                    assert sequence_text(spec) == decimal_text(evaluate(spec)), spec
+            for n in (*range(41), 300):
+                for p in range(-3, 4):
+                    for q in range(-3, 4):
+                        spec = SequenceSpec(kind, n, p, q, method)
+                        value = evaluate(dataclasses.replace(spec, method="recurrence"))
+                        assert evaluate(spec) == value, spec
+                        assert sequence_text(spec) == decimal_text(value), spec
 
     @pytest.mark.parametrize(
         "spec",

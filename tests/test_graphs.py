@@ -327,6 +327,22 @@ class TestGraphValidation:
             Graph.build(order, edges, loops, roles)
         assert isinstance(exc.value, NotAnInt)
 
+    def test_direct_construction_rejects_an_order_that_is_not_an_int(self):
+        # Graph(order=True, ...) once constructed, and elimination counted 2 sets in it
+        with pytest.raises(NotAnInt, match="^order must be an int, got True$"):
+            Graph(order=True, adjacency=(frozenset(),), loops=frozenset(), roles=(CHAIN,))
+
+    @pytest.mark.parametrize("vertex", [True, 0.0, "0"])
+    def test_direct_construction_rejects_a_looped_vertex_that_is_not_an_int(self, vertex):
+        with pytest.raises(NotAnInt, match=f"^looped vertex must be an int, got {vertex!r}$"):
+            Graph(order=2, adjacency=(frozenset(), frozenset()), loops=frozenset({vertex}), roles=(CHAIN,) * 2)
+
+    @pytest.mark.parametrize("end", [True, 1.0])
+    def test_direct_construction_rejects_a_neighbor_that_is_not_an_int(self, end):
+        # 1 == True == 1.0, so the symmetric entry holds and only the type is wrong
+        with pytest.raises(NotAnInt, match=f"^neighbor of vertex 0 must be an int, got {end!r}$"):
+            Graph(order=2, adjacency=(frozenset({end}), frozenset({0})), loops=frozenset(), roles=(CHAIN,) * 2)
+
     @pytest.mark.parametrize(
         "field,value",
         [("order", True), ("loops", [0.5]), ("edges", [[0, 1.5]]), ("edges", [[False, 1]])],
