@@ -9,6 +9,12 @@ except a ``seq --method matrix`` value, which ``counting.sequence_text``
 computes on exact Decimals and prints by str, and the coefficients of a
 packed ``poly``, which ``counting.polynomial_text`` cuts from such a
 Decimal's digits; so no interpreter setting changes what prints.
+
+``main`` may be called any number of times in one process. It builds its
+parser with ``build_parser`` on the first call and parses every later
+``argv`` with that parser; a parse leaves no state behind, so each call
+behaves as in a fresh process. Option choices are read from their tables
+(``--inject-family``'s from ``counting._ENCODING``) when the parser is built.
 """
 
 from __future__ import annotations
@@ -159,9 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return args.handler(args)
     except (OracleCapExceeded, ComputationAbandoned) as exc:
         print(f"error: {exc}", file=sys.stderr)

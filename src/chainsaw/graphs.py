@@ -18,7 +18,6 @@ C(n, 1, 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -41,21 +40,62 @@ def _check_int(value, what: str) -> None:
         raise NotAnInt(f"{what} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Frozen:
+    """Base of the immutable value classes, whose fields are their ``__slots__``.
+
+    A subclass's ``__init__`` checks its arguments and sets each field once
+    through ``_init``; assigning or deleting an attribute afterwards raises
+    AttributeError. Instances compare and hash by their field tuple, equal
+    only to an instance of the same class, and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, and so its checks
+        return self.__class__, self._fields()
+
+
+class Graph(_Frozen):
     """Immutable labeled graph. Build instances with :meth:`Graph.build`; direct ones are checked alike."""
 
-    order: int
-    adjacency: tuple[frozenset[int], ...]
-    loops: frozenset[int]
-    roles: tuple[str, ...]
+    __slots__ = ("order", "adjacency", "loops", "roles")
 
-    def __post_init__(self) -> None:
-        _check_int(self.order, "order")
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        order, adjacency = self.order, self.adjacency
-        if len(adjacency) != order or len(self.roles) != order:
+    def __init__(
+        self,
+        order: int,
+        adjacency: tuple[frozenset[int], ...],
+        loops: frozenset[int],
+        roles: tuple[str, ...],
+    ) -> None:
+        _check_int(order, "order")
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        if len(adjacency) != order or len(roles) != order:
             raise ValueError("adjacency and roles must have exactly `order` entries")
         for v, nbrs in enumerate(adjacency):
             for u in nbrs:  # checked inline: every generated graph passes each neighbor here
@@ -67,13 +107,14 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at edge ({v}, {u})")
             if v in nbrs:
                 raise ValueError(f"self-loop on {v} must be in `loops`, not adjacency")
-        for v in self.loops:
+        for v in loops:
             _check_int(v, "looped vertex")
             if not 0 <= v < order:
                 raise ValueError(f"looped vertex {v} out of range")
-        for v, r in enumerate(self.roles):
+        for v, r in enumerate(roles):
             if r not in (CHAIN, BLADE):
                 raise ValueError(f"unknown role {r!r} on vertex {v}")
+        self._init(order, adjacency, loops, roles)
 
     @classmethod
     def build(
@@ -142,26 +183,24 @@ class Graph:
         return tuple(v for v, r in enumerate(self.roles) if r == BLADE)
 
 
-@dataclass(frozen=True)
-class ChainsawParams:
+class ChainsawParams(_Frozen):
     """The (n, a, b) triple: chain length, blade size, and the wiring gap a-b.
 
     n = 0 is admitted for P(0, a, b); C(n, a, b) itself needs n >= 1.
     A field whose type is not exactly int is NotAnInt.
     """
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self) -> None:
-        for name in ("n", "a", "b"):
-            _check_int(getattr(self, name), name)
-        if self.n < 0 or self.b < 1 or self.a < self.b:
+    def __init__(self, n: int, a: int, b: int) -> None:
+        _check_int(n, "n")
+        _check_int(a, "a")
+        _check_int(b, "b")
+        if n < 0 or b < 1 or a < b:
             raise ValueError(
-                f"chainsaw parameters require n >= 0 and a >= b >= 1, "
-                f"got n={self.n}, a={self.a}, b={self.b}"
+                f"chainsaw parameters require n >= 0 and a >= b >= 1, got n={n}, a={a}, b={b}"
             )
+        self._init(n, a, b)
 
 
 def make_path(n: int) -> Graph:

@@ -22,9 +22,8 @@ and ``poly`` runs it on the packed factors of ``counting._Packed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import _check_int
+from .graphs import _Frozen, _check_int
 
 KINDS = ("U", "V", "D", "E")
 METHODS = ("recurrence", "summation", "matrix")
@@ -104,15 +103,13 @@ def dickson_E_sum(n: int, x: int, y: int) -> int:
     return _dickson_sum("E", n, x, y)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A sequence evaluation request: kind in KINDS, method in METHODS."""
+class SequenceSpec(_Frozen):
+    """A sequence evaluation request: kind in KINDS, method in METHODS; ``evaluate`` checks it."""
 
-    kind: str
-    n: int
-    p: int
-    q: int
-    method: str = "recurrence"
+    __slots__ = ("kind", "n", "p", "q", "method")
+
+    def __init__(self, kind: str, n: int, p: int, q: int, method: str = "recurrence") -> None:
+        self._init(kind, n, p, q, method)
 
 
 def _seeds(kind: str, p):

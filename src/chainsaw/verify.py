@@ -29,8 +29,6 @@ invocations serialize to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import (
     brute_force_strata,
     closed_form_count,
@@ -41,17 +39,17 @@ from .counting import (
     resolve_brute_cap,
     stratified_closed_form,
 )
-from .graphs import ChainsawParams, Graph
+from .graphs import ChainsawParams, Graph, _Frozen
 from .sequences import SequenceSpec, evaluate
 
 
-@dataclass(frozen=True)
-class InjectedGraph:
+class InjectedGraph(_Frozen):
     """An externally supplied graph plus the family parameters it claims."""
 
-    graph: Graph
-    family: str
-    params: ChainsawParams
+    __slots__ = ("graph", "family", "params")
+
+    def __init__(self, graph: Graph, family: str, params: ChainsawParams) -> None:
+        self._init(graph, family, params)
 
 
 def _strata_str(table: dict[int, int]) -> str:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainsaw import _kernels
+from chainsaw import _kernels, cli
 from chainsaw.cli import build_parser, main
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
@@ -318,7 +318,7 @@ class TestSeq:
     @pytest.mark.parametrize("p", range(-4, 5))
     @pytest.mark.parametrize("kind", "UVDE")
     def test_matrix_text_is_the_int_text(self, kind, p):
-        # every n <= 60 and q in [-4, 4]; one parser, as main builds a new one per call
+        # every n <= 60 and q in [-4, 4], parsed by one parser and run by its handlers directly
         parser = build_parser()
         for n in range(61):
             for q in range(-4, 5):
@@ -644,6 +644,56 @@ class TestChoiceLists:
         assert self.choices("verify", "--inject-family") == ("chainsaw", "broken", "twin")
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main parses every call with the parser its first call built; no call may see an earlier one."""
+
+    SEQUENCE = [
+        ["count", "--family", "cycle", "--n", "5", "--method", "fast"],  # usage error, exit 2
+        ["count", "--family", "chainsaw", "--n", "9", "--a", "3", "--b", "2", "--method", "brute"],  # exit 3
+        ["seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1"],  # exit 2 from the engine
+        ["count", "--family", "chainsaw", "--n", "4", "--a", "3", "--b", "2", "--method", "brute"],
+        ["count", "--family", "cycle", "--n", "5"],
+        ["seq", "--kind", "E", "--n", "40", "--p", "3", "--q", "2", "--method", "matrix"],
+        ["seq", "--kind", "V", "--n", "7", "--p", "1", "--q=-1"],
+        ["poly", "--family", "broken", "--n", "5", "--a", "3", "--b", "2"],
+        ["generate", "--family", "path", "--n", "3", "--format", "json"],
+        ["verify", "--n-max", "2", "--a-max", "2"],
+        ["count", "--family", "path", "--n", "6", "--method", "closed-form"],
+    ]
+
+    def test_reuse_matches_a_fresh_parser_per_call(self, capsys, monkeypatch):
+        monkeypatch.setenv(BRUTE_CAP_ENV, "20")  # C(9, 3, 2) has 27 vertices
+        builds = []
+
+        def counted():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        reused = [outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert len(builds) == 1
+        fresh = []
+        for argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(outcome(capsys, argv))
+        assert len(builds) == 1 + len(self.SEQUENCE)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert reused[1][1:] == ("", "error: oracle cap exceeded: graph has 27 vertices, cap is 20\n")
+        assert reused[4] == (0, "11\n", "")
+
+
 class TestBench:
     """What the removed `bench` subcommand checked, asked of `count`, `seq` and the parser."""
 
@@ -780,6 +830,11 @@ class TestEntryPoints:
 
     def test_the_cli_imports_no_numpy(self):
         code = "import sys, chainsaw.cli; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_the_cli_imports_no_dataclasses_or_inspect(self):
+        # both cost start-up time; the value classes are __slots__ classes
+        code = "import sys, chainsaw.cli; sys.exit(bool({'dataclasses', 'inspect'} & set(sys.modules)))"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_missing_subcommand_is_an_argparse_error(self):

@@ -1,7 +1,9 @@
 """Construction, validation, and serialization tests for the graph module."""
 
+import copy
 import itertools
 import json
+import pickle
 import time
 
 import pytest
@@ -22,6 +24,8 @@ from chainsaw.graphs import (
     make_cycle,
     make_path,
 )
+from chainsaw.sequences import SequenceSpec
+from chainsaw.verify import InjectedGraph
 from helpers import reference_broken_chainsaw
 
 
@@ -113,6 +117,84 @@ class TestChainsawParams:
         assert g == Graph.build(a - 1, itertools.combinations(range(a - 1), 2), (), (BLADE,) * (a - 1))
         with pytest.raises(ValueError, match="n=0"):
             make_chainsaw(ChainsawParams(0, a, b))
+
+
+def value_instances():
+    """For each value class: a maker of fresh equal instances, their field tuple and the old dataclass repr."""
+    g = make_path(2)
+    g_repr = "Graph(order=2, adjacency=(frozenset({1}), frozenset({0})), loops=frozenset(), roles=('chain', 'chain'))"
+    params = ChainsawParams(3, 2, 1)
+    return [
+        (lambda: ChainsawParams(3, 2, 1), (3, 2, 1), "ChainsawParams(n=3, a=2, b=1)"),
+        (lambda: SequenceSpec("V", 5, 1, -1), ("V", 5, 1, -1, "recurrence"),
+         "SequenceSpec(kind='V', n=5, p=1, q=-1, method='recurrence')"),
+        (lambda: Graph.build(2, [(0, 1)]), (g.order, g.adjacency, g.loops, g.roles), g_repr),
+        (lambda: InjectedGraph(g, "broken", params), (g, "broken", params),
+         f"InjectedGraph(graph={g_repr}, family='broken', params=ChainsawParams(n=3, a=2, b=1))"),
+    ]
+
+
+class TestValueClasses:
+    """Graph, ChainsawParams, SequenceSpec and InjectedGraph: immutable, compared and hashed by their fields."""
+
+    @pytest.mark.parametrize("make,fields,text", value_instances())
+    def test_equality_and_hash_are_by_fields(self, make, fields, text):
+        one, other = make(), make()
+        assert one is not other and one == other and not one != other
+        assert hash(one) == hash(other) == hash(fields)
+        assert one != fields and fields != one  # not equal to a plain tuple of the same fields
+        assert len({one, other}) == 1
+
+    def test_unequal_fields_or_classes_are_unequal(self):
+        assert ChainsawParams(3, 2, 1) != ChainsawParams(3, 2, 2)
+        assert SequenceSpec("U", 3, 1, 1) != SequenceSpec("U", 3, 1, 1, "matrix")
+        assert make_path(3) != make_cycle(3)
+        assert ChainsawParams(3, 2, 1) != SequenceSpec(3, 2, 1, 0)
+        assert ChainsawParams(3, 2, 1) != InjectedGraph(3, 2, 1)
+
+    @pytest.mark.parametrize("make,fields,text", value_instances())
+    def test_repr_is_the_dataclass_text(self, make, fields, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make,fields,text", value_instances())
+    def test_fields_can_be_neither_assigned_nor_deleted(self, make, fields, text):
+        value = make()
+        for name in (*value.__slots__, "extra"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert value == make()
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("make,fields,text", value_instances())
+    def test_copies_and_pickles_are_equal(self, make, fields, text):
+        value = make()
+        assert copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ChainsawParams(3, 2),
+            lambda: ChainsawParams(3, 2, 1, 0),
+            lambda: ChainsawParams(n=3, a=2, c=1),
+            lambda: SequenceSpec("U", 3, 1),
+            lambda: SequenceSpec("U", 3, 1, 1, method="matrix", extra=0),
+            lambda: Graph(0, (), frozenset()),
+            lambda: Graph(order=0, adjacency=(), loops=frozenset(), roles=(), size=0),
+            lambda: InjectedGraph(make_path(1), "broken"),
+            lambda: InjectedGraph(make_path(1), "broken", ChainsawParams(1, 1, 1), params=None),
+        ],
+    )
+    def test_a_missing_or_unknown_argument_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match=r"__init__\(\)"):
+            build()
+
+    def test_keywords_name_the_fields(self):
+        assert ChainsawParams(b=1, a=2, n=3) == ChainsawParams(3, 2, 1)
+        assert SequenceSpec(method="matrix", q=1, p=1, n=3, kind="U") == SequenceSpec("U", 3, 1, 1, "matrix")
+        g = make_path(1)
+        assert Graph(order=1, adjacency=g.adjacency, loops=g.loops, roles=g.roles) == g
 
 
 class TestChainsaw:

@@ -1,6 +1,5 @@
 """Seed values, frozen examples, and engine agreement for the sequence module."""
 
-import dataclasses
 import math
 import re
 
@@ -186,7 +185,7 @@ class TestEvaluate:
     def test_a_field_that_is_not_an_int_is_rejected(self, field, method):
         # a float p once gave D_10(0.5, 2) = 13.1103515625 by every method
         for value in (0.5, 10.0, True):
-            spec = dataclasses.replace(SequenceSpec("D", 10, 3, 2, method), **{field: value})
+            spec = SequenceSpec(**{"kind": "D", "n": 10, "p": 3, "q": 2, "method": method, field: value})
             with pytest.raises(NotAnInt, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
                 evaluate(spec)
 
