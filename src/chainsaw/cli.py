@@ -8,7 +8,9 @@ invocations. Every integer printed goes through ``counting.decimal_text``,
 except a ``seq --method matrix`` value, which ``counting.sequence_text``
 computes on exact Decimals and prints by str, and the coefficients of a
 packed ``poly``, which ``counting.polynomial_text`` cuts from such a
-Decimal's digits; so no interpreter setting changes what prints.
+Decimal's digits; so no interpreter setting changes what prints. The
+``verify`` report prints through ``verify.report_text``, whose bytes are
+those of ``json.dumps(report, indent=2)``.
 
 ``main`` may be called any number of times in one process. It builds its
 parser with ``build_parser`` on the first call and parses every later
@@ -20,7 +22,6 @@ behaves as in a fresh process. Option choices are read from their tables
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .counting import (
@@ -39,7 +40,7 @@ from .counting import (
 )
 from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_json
 from .sequences import KINDS, METHODS, SequenceSpec
-from .verify import InjectedGraph, run_verification
+from .verify import InjectedGraph, report_text, run_verification
 
 GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
 COUNT_METHODS = ("brute", "eliminate", "closed-form")
@@ -110,7 +111,7 @@ def _cmd_verify(args) -> int:
         brute_cap=args.brute_cap,
         inject=_load_injection(args),
     )
-    print(json.dumps(report, indent=2))
+    print(report_text(report))
     return 0 if report["summary"]["all_pass"] else 1
 
 

@@ -166,7 +166,7 @@ def resolve_brute_cap(cap: int | None) -> int:
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << u for u in g.adjacency[v]) for v in range(g.order)]
+    return [sum(map((1).__lshift__, nbrs)) for nbrs in g.adjacency]
 
 
 def _check_cap(order: int, cap: int | None) -> None:

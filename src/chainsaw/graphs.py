@@ -130,7 +130,9 @@ class Graph(_Frozen):
         treated as a self-loop on v. Roles default to all-chain. The order,
         every edge end and every looped vertex must be an int, else NotAnInt.
         The order and the roles are checked before any adjacency set is
-        allocated.
+        allocated. The edge loop leaves an adjacency that ``__init__`` would
+        accept, so only the loops and role values are checked after it, with
+        ``__init__``'s messages, and the fields are set without a second pass.
         """
         _check_int(order, "order")
         if order < 0:
@@ -152,12 +154,15 @@ class Graph(_Frozen):
                 raise ValueError(f"edge ({u}, {v}) out of range for order {order}")
             adj[u].add(v)
             adj[v].add(u)
-        return cls(
-            order=order,
-            adjacency=tuple(frozenset(s) for s in adj),
-            loops=frozenset(loop_set),
-            roles=role_tuple,
-        )
+        for v in loop_set:
+            if not 0 <= v < order:
+                raise ValueError(f"looped vertex {v} out of range")
+        for v, r in enumerate(role_tuple):
+            if r not in (CHAIN, BLADE):
+                raise ValueError(f"unknown role {r!r} on vertex {v}")
+        graph = object.__new__(cls)
+        graph._init(order, tuple(map(frozenset, adj)), frozenset(loop_set), role_tuple)
+        return graph
 
     @property
     def size(self) -> int:

@@ -9,7 +9,8 @@ same comparison:
 
 * ``chainsaw count`` / ``broken count``: elimination on the generated
   graph == the stratified closed form, and the closed form == the Lucas
-  value V_n(a, -b) or U_{n+2}(a, -b) by index doubling;
+  value V_n(a, -b) or U_{n+2}(a, -b) by index doubling, computed once per
+  (n, a, b) and shared with the ``lucas`` row;
 * ``chainsaw strata`` / ``broken strata``: the brute-force oracle's strata
   == the closed-form strata, for every graph within the oracle's cap;
 * ``lucas V`` / ``lucas U``: the three-term recurrence == index doubling;
@@ -24,10 +25,19 @@ Dickson summands, and D_n(a, -b) = V_n(a, -b), E_{n+1}(a, -b) =
 U_{n+2}(a, -b). The path and cycle counts are the a = b = 1 grid rows.
 
 Report assembly is sequential and sorted by construction, so identical
-invocations serialize to identical bytes.
+invocations serialize to identical bytes. ``report_text`` is that
+serialization: byte for byte ``json.dumps(report, indent=2)``, written
+without the pure-Python encoder that ``indent`` selects. Each check row
+is one f-string template whose strings go through
+``json.encoder.encode_basestring_ascii``, the escaper ``json.dumps`` uses,
+and whose ints go through ``str``; the small ``parameters`` and
+``summary`` objects still go through ``json.dumps`` and are re-indented.
 """
 
 from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .counting import (
     brute_force_strata,
@@ -93,22 +103,15 @@ class _Report:
         }
 
 
-def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_cap: int) -> None:
-    n, a, b = params.n, params.a, params.b
-    tag = {"n": n, "a": a, "b": b}
+def _sweep_tuple(
+    report: _Report, params: ChainsawParams, tag: dict, family: str, lucas_name: str, lucas: int, brute_cap: int
+) -> None:
+    """The rows of one family at `params`: elimination, closed form and the Lucas value agree."""
     graph = family_graph(params, family)
     elim = count_via_elimination(graph)
     closed = closed_form_count(params, family)
-    if family == "chainsaw":
-        lucas = evaluate(SequenceSpec("V", n, a, -b, "matrix"))
-        label = "chainsaw count"
-        lucas_name = "V(n, a, -b)"
-    else:
-        lucas = evaluate(SequenceSpec("U", n + 2, a, -b, "matrix"))
-        label = "broken count"
-        lucas_name = "U(n+2, a, -b)"
-    report.add(f"{label}: elimination == stratified closed form", tag, elim, closed)
-    report.add(f"{label}: closed form == {lucas_name}", tag, closed, lucas)
+    report.add(f"{family} count: elimination == stratified closed form", tag, elim, closed)
+    report.add(f"{family} count: closed form == {lucas_name}", tag, closed, lucas)
     if graph.order <= brute_cap:
         brute = brute_force_strata(graph, cap=brute_cap)
         closed_strata = stratified_closed_form(params, family)
@@ -120,13 +123,17 @@ def _sweep_tuple(report: _Report, params: ChainsawParams, family: str, brute_cap
         )
 
 
-def _sweep_sequences(report: _Report, params: ChainsawParams) -> None:
+def _sweep_grid_point(report: _Report, params: ChainsawParams, brute_cap: int) -> None:
+    """The count, strata and Lucas rows of one (n, a, b); each Lucas value is doubled once."""
     n, a, b = params.n, params.a, params.b
     tag = {"n": n, "a": a, "b": b}
-    for kind, idx in (("V", n), ("U", n + 2)):
+    v = evaluate(SequenceSpec("V", n, a, -b, "matrix"))
+    u = evaluate(SequenceSpec("U", n + 2, a, -b, "matrix"))
+    _sweep_tuple(report, params, tag, "chainsaw", "V(n, a, -b)", v, brute_cap)
+    _sweep_tuple(report, params, tag, "broken", "U(n+2, a, -b)", u, brute_cap)
+    for kind, idx, doubled in (("V", n, v), ("U", n + 2, u)):
         rec = evaluate(SequenceSpec(kind, idx, a, -b, "recurrence"))
-        mat = evaluate(SequenceSpec(kind, idx, a, -b, "matrix"))
-        report.add(f"lucas {kind}: recurrence == matrix", tag, rec, mat)
+        report.add(f"lucas {kind}: recurrence == matrix", tag, rec, doubled)
 
 
 def _sweep_path_cycle(report: _Report, n: int) -> None:
@@ -165,10 +172,7 @@ def run_verification(
     for n in range(1, n_max + 1):
         for a in range(1, a_max + 1):
             for b in range(1, a + 1):
-                params = ChainsawParams(n, a, b)
-                for family in ("chainsaw", "broken"):
-                    _sweep_tuple(report, params, family, brute_cap)
-                _sweep_sequences(report, params)
+                _sweep_grid_point(report, ChainsawParams(n, a, b), brute_cap)
     if inject is not None:
         p = inject.params
         report.add(
@@ -178,3 +182,38 @@ def run_verification(
             declared,
         )
     return report.finish({"n_max": n_max, "a_max": a_max, "brute_cap": brute_cap})
+
+
+def _nested(obj: dict) -> str:
+    """`obj` as `json.dumps(obj, indent=2)` prints it one level deep in the report."""
+    return json.dumps(obj, indent=2).replace("\n", "\n  ")  # escaped strings hold no newline
+
+
+def _check_text(check: dict) -> str:
+    params = ",\n".join(
+        f"        {_quote(k)}: {_quote(v) if isinstance(v, str) else v}" for k, v in check["params"].items()
+    )
+    return f"""    {{
+      "identity": {_quote(check["identity"])},
+      "params": {{
+{params}
+      }},
+      "left": {_quote(check["left"])},
+      "right": {_quote(check["right"])},
+      "pass": {"true" if check["pass"] else "false"}
+    }}"""
+
+
+def report_text(report: dict) -> str:
+    """A report of `run_verification` as `json.dumps(report, indent=2)`, byte for byte.
+
+    A check row's params are a nonempty dict of ints and strings.
+    """
+    checks = ",\n".join(map(_check_text, report["checks"]))
+    return f"""{{
+  "parameters": {_nested(report["parameters"])},
+  "checks": [
+{checks}
+  ],
+  "summary": {_nested(report["summary"])}
+}}"""

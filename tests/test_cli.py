@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and determinism of the command-line surface."""
 
+import collections
 import contextlib
 import io
 import json
@@ -23,6 +24,7 @@ from chainsaw.counting import (
 )
 from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import KINDS, SequenceSpec, evaluate, lucas_U, lucas_V
+from chainsaw.verify import InjectedGraph, report_text, run_verification
 from helpers import reference_broken_chainsaw
 
 
@@ -618,6 +620,89 @@ class TestVerify:
         )
         assert (rc, out) == (2, "")
         assert err == "error: malformed graph json: looped vertex must be an int, got 0.5\n"
+
+
+class TestReportBytes:
+    """verify prints `json.dumps(report, indent=2)` and a newline, byte for byte, through its own writer."""
+
+    @pytest.mark.parametrize(
+        "argv,kwargs",
+        [
+            ([], {}),
+            (["--n-max", "1", "--a-max", "1"], {"n_max": 1, "a_max": 1}),
+            (["--brute-cap", "1"], {"brute_cap": 1}),  # no strata rows
+        ],
+    )
+    def test_sweep_report(self, capsys, monkeypatch, argv, kwargs):
+        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+        rc, out, _ = run_cli(capsys, "verify", *argv)
+        assert rc == 0
+        assert out == json.dumps(run_verification(**kwargs), indent=2) + "\n"
+
+    @pytest.mark.parametrize("perturbed,code", [(False, 0), (True, 1)])
+    def test_injected_report(self, capsys, tmp_path, perturbed, code):
+        g = make_chainsaw(ChainsawParams(4, 2, 1))
+        if perturbed:
+            g = Graph.build(g.order, g.edges()[1:], g.loops, g.roles)
+        path = tmp_path / "inject.json"
+        path.write_text(export_graph(g, "json"), encoding="utf-8")
+        rc, out, _ = run_cli(
+            capsys, "verify", "--n-max", "2", "--a-max", "2",
+            "--inject-graph", str(path), "--inject-family", "chainsaw",
+            "--inject-n", "4", "--inject-a", "2", "--inject-b", "1",
+        )
+        assert rc == code
+        inject = InjectedGraph(g, "chainsaw", ChainsawParams(4, 2, 1))
+        assert out == json.dumps(run_verification(2, 2, inject=inject), indent=2) + "\n"
+        assert ('"pass": false' in out) == perturbed
+        assert '"family": "chainsaw"' in out
+
+    AWKWARD = 'quote " backslash \\ slash / tab \t nul \x00 bell \x07 del \x7f e\u0301 \u00e9 \u2028 \u2603 \U0001d53d'
+
+    def test_writer_escapes_as_json_dumps(self):
+        report = {
+            "parameters": {"n_max": 1, "a_max": 1, "brute_cap": 5},
+            "checks": [
+                {"identity": self.AWKWARD, "params": {"family": self.AWKWARD, "n": -3, "a": 10**30},
+                 "left": "\x1f\n", "right": self.AWKWARD, "pass": False},
+                {"identity": "plain", "params": {"n": 0}, "left": "", "right": "[1, 2]", "pass": True},
+            ],
+            "summary": {
+                "total": 2,
+                "failed": 1,
+                "by_identity": {self.AWKWARD: {"checks": 1, "failed": 1}, "plain": {"checks": 1, "failed": 0}},
+                "all_pass": False,
+            },
+        }
+        assert report_text(report) == json.dumps(report, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text(), st.text(), st.text(), st.booleans())
+    def test_writer_matches_json_dumps_for_any_strings(self, identity, family, left, right, passed):
+        check = {"identity": identity, "params": {"family": family, "n": 1}, "left": left, "right": right,
+                 "pass": passed}
+        summary = {"total": 1, "failed": int(not passed), "by_identity": {identity: {"checks": 1}}}
+        report = {"parameters": {"n_max": 1}, "checks": [check, check], "summary": summary}
+        assert report_text(report) == json.dumps(report, indent=2)
+
+    def test_each_lucas_value_is_doubled_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(spec):
+            calls[spec] += 1
+            return evaluate(spec)
+
+        monkeypatch.setattr("chainsaw.verify.evaluate", counted)
+        report = run_verification(n_max=3, a_max=2)
+        assert report["summary"]["all_pass"] is True
+        # per (n, a, b): V_n and U_{n+2} once by each method, so two matrix and two recurrence calls
+        grid = [(n, a, b) for n in range(1, 4) for a in range(1, 3) for b in range(1, a + 1)]
+        assert calls == collections.Counter(
+            SequenceSpec(kind, n + shift, a, -b, method)
+            for n, a, b in grid
+            for kind, shift in (("V", 0), ("U", 2))
+            for method in ("matrix", "recurrence")
+        )
 
 
 def usage_error(capsys, *argv):

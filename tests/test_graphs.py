@@ -361,6 +361,53 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="role"):
             Graph(order=1, adjacency=(frozenset(),), loops=frozenset(), roles=("saw",))
 
+    @pytest.mark.parametrize(
+        "edges,loops,roles,message",
+        [
+            ([(0, 1)], (), [CHAIN, "saw", BLADE, CHAIN], "unknown role 'saw' on vertex 1"),
+            ([(0, 1)], [3, 0], [CHAIN] * 3, "looped vertex 3 out of range"),
+            ([(0, 1), (3, 3)], (), [CHAIN] * 3, "looped vertex 3 out of range"),
+        ],
+    )
+    def test_build_and_json_reject_a_bad_role_or_looped_vertex(self, edges, loops, roles, message):
+        order = len(roles)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph.build(order, edges, loops, roles)
+        text = json.dumps({"order": order, "edges": edges, "loops": list(loops), "roles": roles})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize(
+        "built",
+        [
+            lambda: Graph.build(0),
+            lambda: Graph.build(4, [(0, 1), (1, 0), (2, 2), (1, 3)], [0], [CHAIN, BLADE, CHAIN, BLADE]),
+            lambda: make_chainsaw(ChainsawParams(4, 3, 2)),
+            lambda: make_broken_chainsaw(ChainsawParams(3, 4, 1)),
+            lambda: make_cycle(1),
+        ],
+    )
+    def test_a_built_graph_is_the_directly_constructed_one(self, built):
+        g = built()
+        direct = Graph(order=g.order, adjacency=g.adjacency, loops=g.loops, roles=g.roles)
+        assert g == direct and hash(g) == hash(direct)
+        assert type(g.adjacency) is tuple and all(type(s) is frozenset for s in g.adjacency)
+        assert type(g.loops) is frozenset and type(g.roles) is tuple
+
+    def test_copies_and_pickles_of_a_built_graph_run_the_checks(self, monkeypatch):
+        g = make_chainsaw(ChainsawParams(3, 2, 1))
+        checked = []
+        init = Graph.__init__
+
+        def spy(self, *fields):
+            checked.append(fields)
+            init(self, *fields)
+
+        monkeypatch.setattr(Graph, "__init__", spy)
+        assert copy.copy(g) == g
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert checked == [g._fields(), g._fields()]
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             Graph(order=-1, adjacency=(), loops=frozenset(), roles=())
