@@ -28,10 +28,10 @@ and a fourth that lifts the closed form to the whole polynomial:
   U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'
   index doubling at the packed point x = 10^w (Kronecker substitution).
   p and q enter as packed factors (``_Packed``) that multiply by digit
-  shifts and one-word multiples, so only the doubling's own squares and
-  products are long. ``polynomial_text`` prints the w-digit slots of the
-  result as they stand. At a = 1 there are no blades, so the strata are
-  the coefficients.
+  shifts and one-word multiples, so only the doubling's own products are
+  long: U_k V_k, V_k^2 and the square of q^k per level, one to finish.
+  ``polynomial_text`` prints the w-digit slots of the result as they
+  stand. At a = 1 there are no blades, so the strata are the coefficients.
 
 Each family's encoding, its graph and its Dickson kind and index (chainsaw
 D_n = V_n, broken E_{n+1} = U_{n+2}), is one row of the table ``_ENCODING``.
@@ -56,7 +56,7 @@ from typing import Callable
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
-from .sequences import SequenceSpec, _by_matrix, _check_spec, _dickson_sum, _dickson_terms, _seeds, evaluate
+from .sequences import SequenceSpec, _by_matrix, _check_spec, _dickson_sum, _dickson_terms, evaluate
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -442,17 +442,20 @@ def closed_form_count(params: ChainsawParams, family: str) -> int:
 
 
 def _decimal_lucas(kind: str, n: int, p, q) -> Decimal:
-    """W_n(p, q) of `kind` as an exact Decimal, by the sequences' index doubling.
+    """The `kind` value at index n, at (p, q), as an exact Decimal, by ``sequences._by_matrix``.
 
-    p and q are exact Decimals or packed factors (``_Packed``). Every
-    operation runs in the exact context: outside it one addition rounds a
-    long value to the default 28 digits. The closing + Decimal(0) there
-    makes an int seed a Decimal, sets the exponent to 0 (a packed product
-    can leave it positive, which str prints as 1E+5), and turns the -0 a
-    product with a zero factor can leave (V_3(0, 1)) into 0.
+    That is U_n, V_n = D_n or E_n = U_{n+1}, from the doubling of
+    (U_k, V_k, q^k). p and q are exact Decimals or packed factors
+    (``_Packed``). Every operation runs in the exact context, where the
+    doubling's halvings by // are exact integer divisions; outside it one
+    addition rounds a long value to the default 28 digits. The closing
+    + Decimal(0) makes an int value (index below 2) a Decimal, sets the
+    exponent to 0 (a packed product can leave it positive, which str prints
+    as 1E+5), and turns the -0 a product with a zero factor can leave
+    (V_3(0, 1)) into 0.
     """
     with localcontext(_exact_context()):
-        return _by_matrix(n, p, q, *_seeds(kind, p)) + Decimal(0)
+        return _by_matrix(kind, n, p, q) + Decimal(0)
 
 
 class _Packed:
@@ -496,7 +499,10 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
     ring homomorphism, so the doubling's negative intermediates do no harm.
     p and q enter as packed factors (``_Packed``), so the doubling
     multiplies by them with digit shifts and one-word multiples, never by a
-    long Decimal. ``polynomial_text`` prints the slots as they stand.
+    long Decimal. The doubling's power q^k starts as ``q * 1``, the Decimal
+    of -x (1 + (b-1) x) with its factor x in the exponent, so squaring it
+    squares only (1 + (b-1) x)^k, which is free at b = 1.
+    ``polynomial_text`` prints the slots as they stand.
 
     At a = 1 (so b = 1) there are no blade vertices: every vertex is a chain
     vertex, the strata are the coefficients, and nothing is packed.

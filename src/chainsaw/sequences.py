@@ -11,12 +11,14 @@ distinguished only by its seeds:
 D and E also have binomial summations, whose weights ``_dickson_weights``
 carries from term to term: ``_dickson_terms`` lists the summands (the
 closed-form strata) and ``_dickson_sum`` adds them in Horner form, in linear
-memory. Every kind takes O(log n) doublings of the pair (U_k, U_{k+1}) that
-fixes the k-th power of the 2x2 companion matrix. ``evaluate`` returns
-arbitrary-precision Python ints; parameters may be negative or zero. The
-command line prints a ``matrix`` value from the same doubling on exact
-Decimals (``counting.sequence_text``), computed in the base it is printed in,
-and ``poly`` runs it on the packed factors of ``counting._Packed``.
+memory. Every kind is U_n or V_n at a shifted index (D_n = V_n,
+E_n = U_{n+1}), and the ``matrix`` method takes O(log n) doublings of the
+triple (U_k, V_k, q^k), which fixes the k-th power of the 2x2 companion
+matrix, and one product to finish. ``evaluate`` returns arbitrary-precision
+Python ints; parameters may be negative or zero. The command line prints a
+``matrix`` value from the same doubling on exact Decimals
+(``counting.sequence_text``), computed in the base it is printed in, and
+``poly`` runs it on the packed factors of ``counting._Packed``.
 """
 
 from __future__ import annotations
@@ -116,36 +118,56 @@ def _seeds(kind: str, p):
     return {"U": (0, 1), "V": (2, p), "D": (2, p), "E": (1, p)}[kind]
 
 
-def _by_matrix(n: int, p, q, w0, w1):
-    """W_n by binary powering of the companion matrix M = [[p, -q], [1, 0]], as two entries.
+# kind -> (whether it is the second-kind value V, index shift): D_n = V_n, E_n = U_{n+1}
+_LUCAS_VALUE = {"U": (False, 0), "V": (True, 0), "D": (True, 0), "E": (False, 1)}
 
-    M^k = [[U_{k+1}, -q U_k], [U_k, -q U_{k-1}]] is fixed by (U_k, U_{k+1}); on that pair
-    squaring is U_{2k} = U_k (2 U_{k+1} - p U_k), U_{2k+1} = U_{k+1}^2 - q U_k^2 (Joye
-    and Quisquater 1996) and a step by M is U_{k+2} = p U_{k+1} - q U_k. As M maps
-    (W_k, W_{k-1}) to (W_{k+1}, W_k), W_j = w1 U_j - q w0 U_{j-1} and
-    W_{i+j} = W_{j+1} U_i - q W_j U_{i-1}. So the doubling stops at half index: with
-    m = floor(n/2) and e = n mod 2 it reaches (U_{m-1}, U_m), steps once to U_{m+1}, and
-    W_n = W_{m+1} U_{m+e} - q W_m U_{m+e-1} costs two products of half-width factors.
 
-    p, q and w1 are only ever the left factor of a product, and nothing but +, - and *
-    touches the operands, so p and q may be ints, exact Decimals or any value that
-    multiplies from the left, such as the packed factors of ``counting``; w1 is 1 or p.
+def _step(p, q, u, v):
+    """(U_{k+1}, V_{k+1}) from (U_k, V_k): (p U_k + V_k) / 2 and p U_{k+1} - 2 q U_k.
+
+    Both are linear in the operands. The second equals ((p^2 - 4q) U_k + p V_k) / 2
+    but multiplies by p and q alone, so a packed factor is never squared.
     """
+    w = (p * u + v) // 2
+    return w, p * w - 2 * (q * u)
+
+
+def _by_matrix(kind: str, n: int, p, q):
+    """The `kind` value at index n by doubling the triple (U_k, V_k, q^k), O(log n) long products.
+
+    The triple fixes the k-th power of the companion matrix M = [[p, -q], [1, 0]],
+    as 2 M^k = V_k I + U_k (2M - pI). Doubling it is U_{2k} = U_k V_k,
+    V_{2k} = V_k^2 - 2 q^k and q^{2k} = (q^k)^2 (Joye and Quisquater 1996); a step by
+    one is ``_step``. Every kind is U or V at a shifted index (``_LUCAS_VALUE``). The
+    doubling stops at m = floor(n/2), and one product of half-width factors finishes:
+    U_{2m} = U_m V_m, V_{2m} = V_m^2 - 2 q^m, U_{2m+1} = U_{m+1} V_m - q^m and
+    V_{2m+1} = V_{m+1} V_m - p q^m. So a level costs two long products and the square
+    of q^k, which is short at |q| = 1, and the finish one.
+
+    The halving in ``_step`` is ``//``, exact because each numerator is twice a
+    polynomial in p and q with integer coefficients. p and q are only ever the left
+    factor of a product, and nothing but +, -, * and // 2 touches the operands, so p
+    and q may be ints, exact Decimals or any value that multiplies from the left, such
+    as the packed factors of ``counting``; ``p * 1`` and ``q * 1`` are plain values.
+    """
+    second, shift = _LUCAS_VALUE[kind]
+    n += shift
     if n < 2:
-        return w1 * 1 if n else w0  # w1 may be such a factor: W_1 = w1 U_1
-    m = n >> 1
-    u0, u1 = 0, 1  # (U_k, U_{k+1}) at k = 0
-    for bit in bin(m - 1)[2:]:  # up to k = m - 1
-        u0, u1 = u0 * (2 * u1 - p * u0), u1 * u1 - q * (u0 * u0)
+        return (p * 1 if n else 2) if second else n
+    u, v, qk = 1, p * 1, q * 1  # (U_k, V_k, q^k) at k = 1
+    for bit in bin(n >> 1)[3:]:  # up to k = m
+        u, v, qk = u * v, v * v - 2 * qk, qk * qk
         if bit == "1":
-            u0, u1 = u1, p * u1 - q * u0
-    u2 = p * u1 - q * u0  # (u0, u1, u2) = (U_{m-1}, U_m, U_{m+1})
-    low, high = w1 * u1 - q * (w0 * u0), w1 * u2 - q * (w0 * u1)  # W_m, W_{m+1}
-    if n & 1:
-        u0, u1 = u1, u2
-    high *= u1  # W_{m+1} U_{m+e}; free the dead factors before the second product
-    del u1, u2
-    return high - (q * low) * u0
+            (u, v), qk = _step(p, q, u, v), q * qk
+    if n & 1:  # U_{m+1} V_m - q^m or V_{m+1} V_m - p q^m
+        u, w = _step(p, q, u, v)
+        u, qk = (w, p * qk) if second else (u, qk)
+        del w  # dead before the long product
+    elif second:  # V_m^2 - 2 q^m
+        u, qk = v, 2 * qk
+    else:  # U_m V_m
+        qk = 0
+    return u * v - qk
 
 
 def _check_spec(spec: SequenceSpec) -> None:
@@ -167,7 +189,6 @@ def evaluate(spec: SequenceSpec) -> int:
     _check_spec(spec)
     if spec.method == "summation":
         return _dickson_sum(spec.kind, spec.n, spec.p, spec.q)
-    w0, w1 = _seeds(spec.kind, spec.p)
     if spec.method == "recurrence":
-        return _by_recurrence(spec.n, spec.p, spec.q, w0, w1)
-    return _by_matrix(spec.n, spec.p, spec.q, w0, w1)
+        return _by_recurrence(spec.n, spec.p, spec.q, *_seeds(spec.kind, spec.p))
+    return _by_matrix(spec.kind, spec.n, spec.p, spec.q)

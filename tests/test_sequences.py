@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainsaw.counting import decimal_text, sequence_text
 from chainsaw.graphs import NotAnInt
 from chainsaw.sequences import (
     KINDS,
     METHODS,
     SequenceSpec,
+    _by_matrix,
     _dickson_terms,
     binom,
     dickson_D_sum,
@@ -197,3 +199,75 @@ class TestEvaluate:
     def test_summation_applies_only_to_dickson_kinds(self, kind):
         with pytest.raises(ValueError, match="summation"):
             evaluate(SequenceSpec(kind, 3, 1, 1, "summation"))
+
+
+def counted_ints():
+    """An int subclass whose results stay in the class, and the list its long products append to.
+
+    A product is long when both operands exceed 64 bits.
+    """
+    long_products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            if self.bit_length() > 64 and other.bit_length() > 64:
+                long_products.append((self.bit_length(), other.bit_length()))
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Counted(int(other) - int(self))
+
+        def __floordiv__(self, other):
+            return Counted(int(self) // int(other))
+
+    return Counted, long_products
+
+
+class TestIndexDoubling:
+    GRID_PQ = [(p, q) for p in range(-4, 5) for q in range(-4, 5)]  # p = 0, q = 0 and p^2 = 4q among them
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_recurrence_on_a_grid(self, kind):
+        for n in range(65):
+            for p, q in self.GRID_PQ:
+                want = evaluate(SequenceSpec(kind, n, p, q, "recurrence"))
+                assert evaluate(SequenceSpec(kind, n, p, q, "matrix")) == want, (n, p, q)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decimal_text_matches_the_recurrence_on_a_grid(self, kind):
+        # byte for byte: no exponent (1E+5), no -0 and no .0 from the Decimal doubling
+        for n in range(65):
+            for p, q in self.GRID_PQ:
+                want = decimal_text(evaluate(SequenceSpec(kind, n, p, q, "recurrence")))
+                assert sequence_text(SequenceSpec(kind, n, p, q, "matrix")) == want, (n, p, q)
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("U", 2**20), ("V", 2**20 + 1), ("E", 2**20 - 3), ("D", 2**20 - 1)],  # m = 2^19 or 2^19 - 1
+    )
+    def test_two_long_products_per_level_and_one_to_finish(self, kind, n):
+        # at q = -1 the powers q^k stay short, so only U_k V_k, V_k^2 and the finish are long
+        Counted, long_products = counted_ints()
+        value = _by_matrix(kind, n, Counted(1), Counted(-1))
+        assert value == evaluate(SequenceSpec(kind, n, 1, -1, "matrix"))
+        m = (n + (kind == "E")) >> 1
+        starts = [m >> s for s in range(m.bit_length() - 1, 0, -1)]  # k before each doubling
+
+        def bits(kind, k):
+            return evaluate(SequenceSpec(kind, k, 1, -1, "matrix")).bit_length()
+
+        levels = [k for k in starts if bits("U", k) > 64]
+        assert len(levels) == 12
+        # no level has a long V_k but a short U_k, so each level has both products or neither
+        assert all(bits("V", k) <= 64 for k in starts if k not in levels)
+        assert len(long_products) == 2 * len(levels) + 1
