@@ -4,10 +4,10 @@ Three mutually independent routes, cross-checked by the verification sweep,
 and a fourth that lifts the closed form to the whole polynomial:
 
 * ``count_brute_force`` / ``brute_force_strata``: every independent set
-  counted from the definition by the meet-in-the-middle mask kernel
-  (the independent subsets of one half, grouped by what they leave of the
-  other). This is the oracle; it refuses graphs above a configurable
-  vertex cap, and the cap is its only limit.
+  counted from the definition by the mask kernel, which branches on the
+  lowest vertex left and merges the branches that reach the same vertex
+  set. This is the oracle; it refuses graphs above a configurable vertex
+  cap, and the cap is its only limit.
 * ``independence_polynomial`` / ``count_via_elimination``: the branching
   identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
   up front and multiplication across connected components. One engine

@@ -1,4 +1,4 @@
-"""The meet-in-the-middle oracle kernel against the definition."""
+"""The lowest-vertex branching oracle kernel against the definition."""
 
 import math
 import random
@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsaw import _kernels
-from chainsaw.counting import brute_force_strata, count_brute_force, family_graph, stratified_closed_form
-from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_cycle
-from chainsaw.sequences import lucas_V
+from chainsaw.counting import (
+    brute_force_strata,
+    count_brute_force,
+    count_via_elimination,
+    family_graph,
+    independence_polynomial,
+    stratified_closed_form,
+)
+from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_cycle, make_path
+from chainsaw.sequences import lucas_U, lucas_V
 from helpers import random_graph, reference_count, reference_strata
 
 
@@ -70,7 +77,7 @@ def test_zero_chain_mask_puts_everything_in_stratum_zero():
 
 
 def test_cycles_of_odd_order_and_at_the_default_cap():
-    # order 1 leaves one half empty, odd orders split unevenly, 26 is the default cap
+    # order 1 is a looped vertex alone, odd and even cycles, 26 is the default cap
     for n in (1, 3, 7, 13, 21, 25, 26):
         assert _count(make_cycle(n)) == lucas_V(n, 1, -1), n
 
@@ -106,7 +113,7 @@ def test_edgeless_graph_fills_every_stratum():
 
 
 def test_vertices_with_no_free_neighbour_are_factored_out():
-    # 2^25 low-half subsets if each were listed; factored out, both graphs take microseconds
+    # 2^49 sets to test one by one; the branches merge into one state per level, so both take microseconds
     chain = sum(1 << v for v in range(1, 49, 3))  # k = 16 chain vertices
     expected = [math.comb(16, t) << (49 - 16) for t in range(17)] + [0] * 33
     hub = [sum(1 << v for v in range(1, 49))] + [1] * 48  # vertex 0 looped, every other one on it only
@@ -115,6 +122,42 @@ def test_vertices_with_no_free_neighbour_are_factored_out():
         strata = _kernels.strata_by_chain_count(adj, loops, chain, 49)
         assert time.perf_counter() - start < 1.0
         assert strata == [c >> (49 - free) for c in expected]
+
+
+def test_complete_bipartite_graph_is_a_few_states():
+    # K_{20,20}, every vertex chain: the nonempty sets lie on one side, 2 C(20, t) - [t = 0]
+    left, right = (1 << 20) - 1, ((1 << 20) - 1) << 20
+    start = time.perf_counter()
+    strata = _kernels.strata_by_chain_count([right] * 20 + [left] * 20, 0, (1 << 40) - 1, 40)
+    assert time.perf_counter() - start < 0.2
+    assert strata == [2 * math.comb(20, t) - (t == 0) for t in range(41)]
+
+
+def test_long_cycle_and_path_within_their_cap():
+    # i(C_60) = V_60(1, -1) and i(P_60) = U_62(1, -1), at 60 vertices each
+    for g, expected in ((make_cycle(60), lucas_V(60, 1, -1)), (make_path(60), lucas_U(62, 1, -1))):
+        start = time.perf_counter()
+        assert count_brute_force(g, cap=60) == expected
+        assert time.perf_counter() - start < 0.2
+
+
+def test_perfect_matching_at_the_default_cap():
+    # edges i -- i + 13, 2^12 states at each of levels 12 and 13: each edge holds neither
+    # end or one of its two, so (1 + 2z)^13 and 3^13 sets
+    adj = [1 << (v + 13) for v in range(13)] + [1 << v for v in range(13)]
+    assert _kernels.strata_by_chain_count(adj, 0, (1 << 26) - 1, 26) == [
+        math.comb(13, t) << t for t in range(14)
+    ] + [0] * 13
+    assert _kernels.strata_by_chain_count(adj, 0, 0, 26) == [3**13] + [0] * 26
+
+
+def test_ladder_at_the_default_cap_matches_elimination():
+    # two 13-vertex rails i -- i + 1 joined by the rungs i -- i + 13; all roles chain, so stratum t is size t
+    rails = [(r + i, r + i + 1) for r in (0, 13) for i in range(12)]
+    g = Graph.build(26, rails + [(i, i + 13) for i in range(13)])
+    strata = brute_force_strata(g, cap=26)
+    assert sum(strata.values()) == count_via_elimination(g)
+    assert [strata.get(t, 0) for t in range(max(strata) + 1)] == list(independence_polynomial(g))
 
 
 def test_the_backend_is_pure_python():
