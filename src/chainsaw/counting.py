@@ -6,12 +6,18 @@ and a fourth that lifts the closed form to the whole polynomial:
 * ``count_brute_force`` / ``brute_force_strata``: every independent set
   counted from the definition by the mask kernel, which branches on the
   lowest vertex left and merges the branches that reach the same vertex
-  set. This is the oracle; it refuses graphs above a configurable vertex
-  cap, and the cap is its only limit.
+  set. The masks are in breadth-first numbering (``_breadth_first``), so a
+  blade follows its chain vertex. This is the oracle; it refuses graphs
+  above a configurable vertex cap, and the cap is its only limit.
 * ``independence_polynomial`` / ``count_via_elimination``: the branching
   identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
   up front and multiplication across connected components. One engine
   serves both, over coefficient tuples or over plain ints at x = 1.
+  It first decides the vertices in the oracle's breadth-first numbering
+  (``_frontier_pass``), one step per vertex, with the sets of later
+  vertices already blocked as states; C(n, a, b) and P(n, a, b) needed at
+  most 14 of them (a <= 10). Past min(32, max_states) states a step the
+  graph goes to the branching instead.
   One split search finds every component: at the start with each live
   vertex as a seed, afterwards only around the removed vertices. Every
   pivot is a vertex of maximum degree among the seeds; a clique piece is
@@ -169,6 +175,38 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return [sum(map((1).__lshift__, nbrs)) for nbrs in g.adjacency]
 
 
+def _breadth_first(g: Graph) -> tuple[list[int], list[int]]:
+    """The vertices breadth-first from each lowest vertex not yet placed, and each one's place.
+
+    On C(n, a, b) and P(n, a, b) this puts each blade next to its chain
+    vertex, so both the frontier pass and the oracle see a chain of cliques.
+    """
+    pos = [-1] * g.order
+    order: list[int] = []
+    head = 0
+    for root in range(g.order):
+        if pos[root] >= 0:
+            continue
+        pos[root] = len(order)
+        order.append(root)
+        while head < len(order):
+            for u in g.adjacency[order[head]]:
+                if pos[u] < 0:
+                    pos[u] = len(order)
+                    order.append(u)
+            head += 1
+    return order, pos
+
+
+def _oracle_masks(g: Graph, chain: bool) -> tuple[list[int], int, int]:
+    """Adjacency, loop and chain masks in ``_breadth_first`` numbering; the strata do not depend on it."""
+    order, pos = _breadth_first(g)
+    bit = (1).__lshift__
+    adj = [sum(map(bit, map(pos.__getitem__, g.adjacency[v]))) for v in order]
+    chain_mask = sum(bit(pos[v]) for v in g.chain_vertices()) if chain else 0
+    return adj, sum(bit(pos[v]) for v in g.loops), chain_mask
+
+
 def _check_cap(order: int, cap: int | None) -> None:
     """OracleCapExceeded unless a graph of `order` vertices is within the resolved cap."""
     limit = resolve_brute_cap(cap)
@@ -179,16 +217,13 @@ def _check_cap(order: int, cap: int | None) -> None:
 def count_brute_force(g: Graph, *, cap: int | None = None) -> int:
     """i(G) from the definition, by the oracle kernel. The empty set always counts."""
     _check_cap(g.order, cap)
-    loop_mask = sum(1 << v for v in g.loops)
-    return sum(_kernels.strata_by_chain_count(_adjacency_masks(g), loop_mask, 0, g.order))
+    return sum(_kernels.strata_by_chain_count(*_oracle_masks(g, False), g.order))
 
 
 def brute_force_strata(g: Graph, *, cap: int | None = None) -> dict[int, int]:
     """Independent sets keyed by how many chain-role vertices they contain."""
     _check_cap(g.order, cap)
-    loop_mask = sum(1 << v for v in g.loops)
-    chain_mask = sum(1 << v for v in g.chain_vertices())
-    counts = _kernels.strata_by_chain_count(_adjacency_masks(g), loop_mask, chain_mask, g.order)
+    counts = _kernels.strata_by_chain_count(*_oracle_masks(g, True), g.order)
     return {t: c for t, c in enumerate(counts) if c}
 
 
@@ -301,11 +336,48 @@ def _product(values: list, one, mul):
 
 
 _SOLVE, _JOIN = 0, 1
+_PASS_STATES = 32  # the most states a frontier pass step holds before it hands the graph over
+
+
+def _frontier_pass(g: Graph, one, add, shift, limit: int):
+    """I(G) by deciding the vertices in ``_breadth_first`` order, or None past `limit` states a step.
+
+    A state is the set of later vertices that a chosen vertex blocks, as bits
+    relative to the current position (bit 0 is the vertex being decided), so
+    keys stay as wide as the order's bandwidth. Each state goes on with the
+    vertex left out, and with it taken when it is neither blocked nor looped;
+    equal states merge through `add`.
+    """
+    order, pos = _breadth_first(g)
+    states = {0: one}
+    for i, v in enumerate(order):
+        fwd = 0  # v's later neighbours, relative to the next position
+        for u in g.adjacency[v]:
+            if pos[u] > i:
+                fwd |= 1 << (pos[u] - i - 1)
+        free = v not in g.loops
+        step: dict = {}
+        for b, w in states.items():
+            nb = b >> 1
+            old = step.get(nb)
+            step[nb] = w if old is None else add(old, w)
+            if free and not b & 1:
+                nb |= fwd
+                w = shift(w)
+                old = step.get(nb)
+                step[nb] = w if old is None else add(old, w)
+        if len(step) > limit:
+            return None
+        states = step
+    return states[0]
 
 
 def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     """I(G) evaluated in the value type given by `one`, `add`, `shift` (times x) and `mul`.
 
+    The frontier pass (``_frontier_pass``) comes first, with at most
+    min(_PASS_STATES, max_states) states a step, so it never abandons; a
+    graph it hands back is branched on as follows, from the start.
     Works on vertex bitmasks over the original numbering. `_split` with
     every live vertex as a seed finds the root components. Only connected
     masks are solved and memoized: a connected mask takes as pivot v a
@@ -320,6 +392,9 @@ def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     stack of tasks: a solve task for a connected mask, and a join task that
     consumes the values its components pushed.
     """
+    passed = _frontier_pass(g, one, add, shift, min(_PASS_STATES, max_states))
+    if passed is not None:
+        return passed
     adj = _adjacency_masks(g)
     live = ((1 << g.order) - 1) & ~sum(1 << v for v in g.loops)
     single = add(one, shift(one))
@@ -382,6 +457,12 @@ def independence_polynomial(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -
     count into sets avoiding v and sets containing v:
 
         I(G) = I(G - v) + x * I(G - N[v])
+
+    The vertices are first decided one by one in breadth-first order
+    (``_frontier_pass``), with no memo entry. A graph that keeps at most
+    min(32, max_states) states a step that way, such as a chain of cliques
+    or a grid of a few rows, is counted there; any other graph is branched
+    on from the start.
 
     The pivot v is a fixed choice: a maximum-degree vertex among the
     survivors next to the last removed vertices (the whole component at the

@@ -4,6 +4,7 @@ import decimal
 import inspect
 import json
 import math
+import operator
 import random
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chainsaw import counting
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
     ComputationAbandoned,
@@ -19,6 +21,10 @@ from chainsaw.counting import (
     _Packed,
     _exact_context,
     _family_order,
+    _frontier_pass,
+    _identity,
+    _poly_add,
+    _poly_shift,
     brute_force_strata,
     closed_form_count,
     closed_form_polynomial,
@@ -32,7 +38,9 @@ from chainsaw.counting import (
 )
 from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
 from chainsaw.sequences import SequenceSpec, evaluate, lucas_U, lucas_V
-from helpers import random_graph, reference_polynomial, reference_strata
+from helpers import random_graph, reference_count, reference_polynomial, reference_strata
+
+BRANCH_ONLY = ("chainsaw.counting._PASS_STATES", 0)  # the frontier pass hands every graph over
 
 
 def _disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -48,6 +56,31 @@ def _lowest_candidate(candidates, mask, adj):
 
 def _highest_candidate(candidates, mask, adj):
     return candidates.bit_length() - 1
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex r * cols + c."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.build(rows * cols, edges)
+
+
+def _grid_count(rows: int, cols: int) -> int:
+    """i(grid) by a transfer over the columns: each column an independent set of a path, neighbours disjoint."""
+    columns = [m for m in range(1 << rows) if not m & m >> 1]
+    ways = {m: 1 for m in columns}
+    for _ in range(cols - 1):
+        ways = {m: sum(w for k, w in ways.items() if not k & m) for m in columns}
+    return sum(ways.values())
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """`legs` paths of `length` vertices joined at the centre 0."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges += [(0, first)] + [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph.build(1 + legs * length, edges)
 
 
 def _convolve(p, q):
@@ -132,18 +165,56 @@ class TestElimination:
         assert independence_polynomial(g) == [1]
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_engines_agree_with_the_reference(self, seed):
+    def test_engines_agree_with_the_reference(self, monkeypatch, seed):
         g = random_graph(random.Random(1000 + seed), max_order=12)
         want_poly = reference_polynomial(g)
         assert independence_polynomial(g) == want_poly
         assert count_via_elimination(g) == sum(want_poly)
         assert count_brute_force(g) == sum(want_poly)
         assert brute_force_strata(g) == reference_strata(g)
+        monkeypatch.setattr(*BRANCH_ONLY)
+        assert independence_polynomial(g) == want_poly
+        assert count_via_elimination(g) == sum(want_poly)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_the_frontier_pass_alone_agrees_with_the_reference(self, seed):
+        # the same graphs, with room for every state a 12-vertex graph can reach
+        g = random_graph(random.Random(1000 + seed), max_order=12)
+        want_poly = reference_polynomial(g)
+        limit = 1 << g.order
+        assert list(_frontier_pass(g, (1,), _poly_add, _poly_shift, limit)) == want_poly
+        assert _frontier_pass(g, 1, operator.add, _identity, limit) == sum(want_poly)
+
+    def test_a_wide_frontier_hands_over_to_branching(self, monkeypatch):
+        # past the centre, 2^k blocked sets of the outer ring after k of its 8 neighbours: over 32 at k = 5
+        g = _spider(8, 2)
+        splits = []
+
+        def spy(rest, seeds, adj, split=counting._split):
+            splits.append(rest)
+            return split(rest, seeds, adj)
+
+        monkeypatch.setattr("chainsaw.counting._split", spy)
+        assert count_via_elimination(g) == reference_count(g)
+        assert splits
+
+    def test_a_long_chainsaw_counts_within_a_small_budget(self):
+        # the pass holds at most 12 states a step here; branching takes about 2n memo entries
+        g = make_chainsaw(ChainsawParams(20000, 3, 2))
+        assert count_via_elimination(g, max_states=64) == lucas_V(20000, 3, -2)
+
+    def test_a_grid_counts_within_a_small_budget(self):
+        g = _grid(4, 40)
+        want = _grid_count(4, 40)
+        assert count_via_elimination(g, max_states=64) == want
+        assert sum(independence_polynomial(g, max_states=64)) == want
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pivot_choice_cannot_change_the_polynomial(self, monkeypatch, seed):
         g = random_graph(random.Random(2000 + seed), max_order=11)
         default = independence_polynomial(g)
+        monkeypatch.setattr(*BRANCH_ONLY)  # so that every graph reaches the pivot choice
+        assert independence_polynomial(g) == default
         for chooser in (_lowest_candidate, _highest_candidate):
             monkeypatch.setattr("chainsaw.counting._max_degree_vertex", chooser)
             assert independence_polynomial(g) == default
@@ -267,8 +338,11 @@ class TestCliquePieces:
         assert sum(brute_force_strata(g).values()) == count
         default = independence_polynomial(g)
         assert sum(default) == count
-        for chooser in (_lowest_candidate, _highest_candidate):
-            with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would outlive the examples
+        with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would outlive the examples
+            patch.setattr(*BRANCH_ONLY)
+            assert count_via_elimination(g) == count
+            assert independence_polynomial(g) == default
+            for chooser in (_lowest_candidate, _highest_candidate):
                 patch.setattr("chainsaw.counting._max_degree_vertex", chooser)
                 assert independence_polynomial(g) == default
 

@@ -141,6 +141,17 @@ def test_long_cycle_and_path_within_their_cap():
         assert time.perf_counter() - start < 0.2
 
 
+def test_chainsaws_are_numbered_chain_by_chain():
+    # C(24, 2, 2) at 48 vertices: numbered breadth-first, each blade comes next to its chain vertex,
+    # so a state does not carry the blades of the chain vertices already passed
+    params = ChainsawParams(24, 2, 2)
+    g = family_graph(params, "chainsaw")
+    start = time.perf_counter()
+    strata = brute_force_strata(g, cap=48)
+    assert time.perf_counter() - start < 0.05
+    assert strata == stratified_closed_form(params, "chainsaw")
+
+
 def test_perfect_matching_at_the_default_cap():
     # edges i -- i + 13, 2^12 states at each of levels 12 and 13: each edge holds neither
     # end or one of its two, so (1 + 2z)^13 and 3^13 sets
