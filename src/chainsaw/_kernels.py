@@ -1,21 +1,27 @@
-"""Lowest-vertex branching kernel behind the brute-force oracle, on exact ints.
+"""The one state DP behind the brute-force oracle and elimination's first pass, on exact ints.
 
-Every independent set of the vertex set S either leaves out its lowest
-vertex v or holds it and none of its neighbours, so
-g(S) = g(S - v) + z^c(v) * g(S - N[v]), with c(v) = 1 for a chain vertex.
-That is the identity elimination uses; it costs no independence, as no
-verify row compares the oracle with elimination (its strata rows compare
-it with the closed form). The pass starts from every vertex outside the
-loops. Each branch raises the lowest vertex, so the states are settled in
-that order, each once, with no stack, and two branches that reach the same
-set merge: an edgeless graph or a hub with pendant vertices is one state
-per level. A state at level v is a set of vertices >= v that at most 2^v
-branchings reach, so level v holds at most min(2^v, 2^(order - v)) states.
-The strata travel packed as the coefficients of z = 2^(order + 1), since no
-stratum count exceeds 2^order.
+Every independent set either leaves out a vertex v or holds it and none of
+its neighbours, so I(G) = I(G - v) + x * I(G - N[v]). ``frontier_pass``
+decides the vertices one by one in ``breadth_first`` order. A state is the
+set of later vertices that a chosen vertex blocks, as bits relative to the
+current position (bit 0 is the vertex being decided), so keys stay as wide
+as the numbering's bandwidth; two choices that block the same set merge.
+On C(n, a, b) and P(n, a, b) each blade follows its chain vertex, so a step
+holds a handful of states. A state after deciding i + 1 vertices is a set
+of later vertices that at most 2^(i + 1) choices reach, so a step holds at
+most min(2^(i + 1), 2^(order - i - 1)) of them.
+
+``strata_by_chain_count`` is the oracle: the pass with no state limit, with
+x = z = 2^(order + 1) on a chain vertex and x = 1 on a blade, so the strata
+travel packed as the coefficients of z (no stratum count exceeds 2^order).
+Elimination (``counting._eliminate``) runs the same pass first, with a
+state limit. That costs no independence, as no verify row compares the
+oracle with elimination: its strata rows compare it with the closed form.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def active_backend() -> str:
@@ -23,30 +29,81 @@ def active_backend() -> str:
     return "python"
 
 
-def strata_by_chain_count(adj_masks, loop_mask: int, chain_mask: int, order: int) -> list[int]:
-    """Independent-set counts split by how many chain-mask bits each set uses.
+def same(value):
+    """The weight as it is: x = 1."""
+    return value
 
-    adj_masks[v] is the neighbour mask of vertex v: symmetric, without v
-    itself (self-loops go in loop_mask). Entry t of the result (length
-    order + 1) counts the independent sets holding exactly t chain-mask
+
+def breadth_first(adjacency) -> tuple[list[int], list[int]]:
+    """The vertices breadth-first from each lowest vertex not yet placed, and each one's place.
+
+    On C(n, a, b) and P(n, a, b) this puts each blade next to its chain
+    vertex, so the pass sees a chain of cliques.
+    """
+    pos = [-1] * len(adjacency)
+    order: list[int] = []
+    head = 0
+    for root in range(len(adjacency)):
+        if pos[root] >= 0:
+            continue
+        pos[root] = len(order)
+        order.append(root)
+        while head < len(order):
+            for u in adjacency[order[head]]:
+                if pos[u] < 0:
+                    pos[u] = len(order)
+                    order.append(u)
+            head += 1
+    return order, pos
+
+
+def frontier_pass(adjacency, loops, one, add, shift_of, limit: int):
+    """I(G) by deciding the vertices in ``breadth_first`` order, or None past `limit` states a step.
+
+    adjacency[v] holds v's neighbours, without v (a looped vertex is in
+    `loops`). Each state goes on with the vertex left out, and with it taken
+    when it is neither blocked nor looped; taking v multiplies the weight by
+    ``shift_of(v)``, a function looked up once per vertex (``same``, x = 1,
+    is not even called). Equal states merge through `add`; the values start
+    from `one`.
+    """
+    order, pos = breadth_first(adjacency)
+    states = {0: one}
+    for i, v in enumerate(order):
+        fwd = 0  # v's later neighbours, relative to the next position
+        for u in adjacency[v]:
+            if pos[u] > i:
+                fwd |= 1 << (pos[u] - i - 1)
+        shift = None if v in loops else shift_of(v)
+        step: dict = {}
+        for b, w in states.items():
+            nb = b >> 1
+            old = step.get(nb)
+            step[nb] = w if old is None else add(old, w)
+            if shift is not None and not b & 1:
+                nb |= fwd
+                if shift is not same:
+                    w = shift(w)
+                old = step.get(nb)
+                step[nb] = w if old is None else add(old, w)
+        if len(step) > limit:
+            return None
+        states = step
+    return states[0]
+
+
+def strata_by_chain_count(adjacency, loops, chain, order: int) -> list[int]:
+    """Independent-set counts split by how many vertices of `chain` each set uses.
+
+    adjacency[v] holds v's neighbours, symmetric and without v (self-loops
+    go in `loops`); `chain` is a set of vertices. Entry t of the result
+    (length order + 1) counts the independent sets holding exactly t chain
     vertices; the empty set is in entry 0.
     """
-    if len(adj_masks) != order:
-        raise ValueError(f"expected {order} adjacency masks, got {len(adj_masks)}")
+    if len(adjacency) != order:
+        raise ValueError(f"expected {order} adjacency lists, got {len(adjacency)}")
     slot = order + 1
-    start = ((1 << order) - 1) & ~loop_mask
-    # states[v]: the sets whose lowest vertex is v -> packed weight; the empty set is at -1
-    states: list[dict[int, int]] = [{} for _ in range(slot)]
-    states[(start & -start).bit_length() - 1][start] = 1
-    for v in range(order):
-        bit, keep, shift = 1 << v, ~adj_masks[v], slot if chain_mask >> v & 1 else 0
-        for s, w in states[v].items():
-            s ^= bit
-            bucket = states[(s & -s).bit_length() - 1]
-            bucket[s] = bucket.get(s, 0) + w
-            s &= keep
-            bucket = states[(s & -s).bit_length() - 1]
-            bucket[s] = bucket.get(s, 0) + (w << shift)
-
-    packed = states[-1].get(0, 0)
+    up = (1 << slot).__mul__  # times z
+    # every step holds at most 2^order states, so that limit is never passed
+    packed = frontier_pass(adjacency, loops, 1, operator.add, lambda v: up if v in chain else same, 1 << order)
     return [packed >> (slot * t) & ((1 << slot) - 1) for t in range(slot)]

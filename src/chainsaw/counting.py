@@ -1,30 +1,18 @@
 """Exact independent-set counting engines.
 
-Three mutually independent routes, cross-checked by the verification sweep,
-and a fourth that lifts the closed form to the whole polynomial:
+Three routes, cross-checked by the verification sweep, and a fourth that
+lifts the closed form to the whole polynomial. The oracle and elimination
+share the frontier pass, so no verify row compares those two:
 
-* ``count_brute_force`` / ``brute_force_strata``: every independent set
-  counted from the definition by the mask kernel, which branches on the
-  lowest vertex left and merges the branches that reach the same vertex
-  set. The masks are in breadth-first numbering (``_breadth_first``), so a
-  blade follows its chain vertex. This is the oracle; it refuses graphs
-  above a configurable vertex cap, and the cap is its only limit.
-* ``independence_polynomial`` / ``count_via_elimination``: the branching
-  identity I(G) = I(G - v) + x * I(G - N[v]), with looped vertices dropped
-  up front and multiplication across connected components. One engine
-  serves both, over coefficient tuples or over plain ints at x = 1.
-  It first decides the vertices in the oracle's breadth-first numbering
-  (``_frontier_pass``), one step per vertex, with the sets of later
-  vertices already blocked as states; C(n, a, b) and P(n, a, b) needed at
-  most 14 of them (a <= 10). Past min(32, max_states) states a step the
-  graph goes to the branching instead.
-  One split search finds every component: at the start with each live
-  vertex as a seed, afterwards only around the removed vertices. Every
-  pivot is a vertex of maximum degree among the seeds; a clique piece is
-  1 + kx at once, from the definition (a set holds at most one vertex of a
-  clique), not from any closed form; only other connected subsets are
-  memoized, keyed on the induced vertex subset; the branching runs on an
-  explicit stack, so no interpreter state is touched.
+* ``count_brute_force`` / ``brute_force_strata``: every independent set,
+  counted by ``_kernels.strata_by_chain_count``, the frontier pass run with
+  no state limit. This is the oracle; it refuses graphs above a
+  configurable vertex cap, and the cap is its only limit.
+* ``independence_polynomial`` / ``count_via_elimination``: the same pass
+  with at most min(32, max_states) states a step, and for a graph past
+  that, branching on a pivot with a memo and component splits
+  (``_eliminate``). One engine serves both, over coefficient tuples or over
+  plain ints at x = 1.
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms, one entry per number of chain vertices used: the summands
   of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' weights.
@@ -175,38 +163,6 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return [sum(map((1).__lshift__, nbrs)) for nbrs in g.adjacency]
 
 
-def _breadth_first(g: Graph) -> tuple[list[int], list[int]]:
-    """The vertices breadth-first from each lowest vertex not yet placed, and each one's place.
-
-    On C(n, a, b) and P(n, a, b) this puts each blade next to its chain
-    vertex, so both the frontier pass and the oracle see a chain of cliques.
-    """
-    pos = [-1] * g.order
-    order: list[int] = []
-    head = 0
-    for root in range(g.order):
-        if pos[root] >= 0:
-            continue
-        pos[root] = len(order)
-        order.append(root)
-        while head < len(order):
-            for u in g.adjacency[order[head]]:
-                if pos[u] < 0:
-                    pos[u] = len(order)
-                    order.append(u)
-            head += 1
-    return order, pos
-
-
-def _oracle_masks(g: Graph, chain: bool) -> tuple[list[int], int, int]:
-    """Adjacency, loop and chain masks in ``_breadth_first`` numbering; the strata do not depend on it."""
-    order, pos = _breadth_first(g)
-    bit = (1).__lshift__
-    adj = [sum(map(bit, map(pos.__getitem__, g.adjacency[v]))) for v in order]
-    chain_mask = sum(bit(pos[v]) for v in g.chain_vertices()) if chain else 0
-    return adj, sum(bit(pos[v]) for v in g.loops), chain_mask
-
-
 def _check_cap(order: int, cap: int | None) -> None:
     """OracleCapExceeded unless a graph of `order` vertices is within the resolved cap."""
     limit = resolve_brute_cap(cap)
@@ -217,13 +173,13 @@ def _check_cap(order: int, cap: int | None) -> None:
 def count_brute_force(g: Graph, *, cap: int | None = None) -> int:
     """i(G) from the definition, by the oracle kernel. The empty set always counts."""
     _check_cap(g.order, cap)
-    return sum(_kernels.strata_by_chain_count(*_oracle_masks(g, False), g.order))
+    return sum(_kernels.strata_by_chain_count(g.adjacency, g.loops, (), g.order))
 
 
 def brute_force_strata(g: Graph, *, cap: int | None = None) -> dict[int, int]:
     """Independent sets keyed by how many chain-role vertices they contain."""
     _check_cap(g.order, cap)
-    counts = _kernels.strata_by_chain_count(*_oracle_masks(g, True), g.order)
+    counts = _kernels.strata_by_chain_count(g.adjacency, g.loops, set(g.chain_vertices()), g.order)
     return {t: c for t, c in enumerate(counts) if c}
 
 
@@ -312,10 +268,6 @@ def _poly_shift(p: tuple[int, ...]) -> tuple[int, ...]:
     return (0,) + p
 
 
-def _identity(value: int) -> int:
-    return value
-
-
 def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     if len(p) < len(q):
         p, q = q, p
@@ -339,43 +291,10 @@ _SOLVE, _JOIN = 0, 1
 _PASS_STATES = 32  # the most states a frontier pass step holds before it hands the graph over
 
 
-def _frontier_pass(g: Graph, one, add, shift, limit: int):
-    """I(G) by deciding the vertices in ``_breadth_first`` order, or None past `limit` states a step.
-
-    A state is the set of later vertices that a chosen vertex blocks, as bits
-    relative to the current position (bit 0 is the vertex being decided), so
-    keys stay as wide as the order's bandwidth. Each state goes on with the
-    vertex left out, and with it taken when it is neither blocked nor looped;
-    equal states merge through `add`.
-    """
-    order, pos = _breadth_first(g)
-    states = {0: one}
-    for i, v in enumerate(order):
-        fwd = 0  # v's later neighbours, relative to the next position
-        for u in g.adjacency[v]:
-            if pos[u] > i:
-                fwd |= 1 << (pos[u] - i - 1)
-        free = v not in g.loops
-        step: dict = {}
-        for b, w in states.items():
-            nb = b >> 1
-            old = step.get(nb)
-            step[nb] = w if old is None else add(old, w)
-            if free and not b & 1:
-                nb |= fwd
-                w = shift(w)
-                old = step.get(nb)
-                step[nb] = w if old is None else add(old, w)
-        if len(step) > limit:
-            return None
-        states = step
-    return states[0]
-
-
 def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     """I(G) evaluated in the value type given by `one`, `add`, `shift` (times x) and `mul`.
 
-    The frontier pass (``_frontier_pass``) comes first, with at most
+    ``_kernels.frontier_pass`` comes first, with at most
     min(_PASS_STATES, max_states) states a step, so it never abandons; a
     graph it hands back is branched on as follows, from the start.
     Works on vertex bitmasks over the original numbering. `_split` with
@@ -392,7 +311,7 @@ def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     stack of tasks: a solve task for a connected mask, and a join task that
     consumes the values its components pushed.
     """
-    passed = _frontier_pass(g, one, add, shift, min(_PASS_STATES, max_states))
+    passed = _kernels.frontier_pass(g.adjacency, g.loops, one, add, lambda v: shift, min(_PASS_STATES, max_states))
     if passed is not None:
         return passed
     adj = _adjacency_masks(g)
@@ -451,37 +370,24 @@ def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
 def independence_polynomial(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> list[int]:
     """Exact coefficients [i_0(G), i_1(G), ...] of the independence polynomial.
 
-    Looped vertices are discarded first (they join no independent set).
-    Each connected component is solved separately and the component
-    polynomials multiplied. Within a component the pivot v splits the
-    count into sets avoiding v and sets containing v:
-
-        I(G) = I(G - v) + x * I(G - N[v])
-
-    The vertices are first decided one by one in breadth-first order
-    (``_frontier_pass``), with no memo entry. A graph that keeps at most
-    min(32, max_states) states a step that way, such as a chain of cliques
-    or a grid of a few rows, is counted there; any other graph is branched
-    on from the start.
-
-    The pivot v is a fixed choice: a maximum-degree vertex among the
-    survivors next to the last removed vertices (the whole component at the
-    start), ties to the lowest index. A connected subproblem that is a
-    clique K_k is 1 + kx at once: that is the definition, as an independent
-    set holds at most one vertex of a clique, so elimination still rests on
-    no closed form and on no oracle. Only other connected subproblems are
-    memoized, keyed on the induced vertex subset as a bitmask over the
-    original vertex numbering. The branching runs on an explicit stack, so
-    no interpreter state is touched however deep it goes. Exhausting
-    ``max_states`` memo entries raises ComputationAbandoned rather than ever
-    returning a wrong answer.
+    Every step applies I(G) = I(G - v) + x * I(G - N[v]) to some vertex v;
+    looped vertices join no independent set. The vertices are first decided
+    one by one by ``_kernels.frontier_pass``, with no memo entry: a graph
+    that keeps at most min(32, max_states) states a step that way, such as
+    a chain of cliques or a grid of a few rows, is counted there. Any other
+    graph is branched on (``_eliminate``) with a fixed pivot choice, one
+    factor per connected component, and a clique K_k closed as 1 + kx: that
+    is the definition, as an independent set holds at most one vertex of a
+    clique, so elimination rests on no closed form and on no oracle.
+    Exhausting ``max_states`` memo entries raises ComputationAbandoned
+    rather than ever returning a wrong answer.
     """
     return list(_eliminate(g, (1,), _poly_add, _poly_shift, _poly_mul, max_states))
 
 
 def count_via_elimination(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> int:
     """i(G) = I(G; 1): the same elimination as the polynomial, on plain ints at x = 1."""
-    return _eliminate(g, 1, operator.add, _identity, operator.mul, max_states)
+    return _eliminate(g, 1, operator.add, _kernels.same, operator.mul, max_states)
 
 
 def _family(params: ChainsawParams, family: str) -> tuple[str, int, Callable[[ChainsawParams], Graph]]:

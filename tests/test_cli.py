@@ -463,9 +463,9 @@ class TestVerify:
         # no kernel call above the cap, and no graph within it skipped, past 48 vertices too
         kernel = _kernels.strata_by_chain_count
 
-        def within_cap(adj_masks, loop_mask, chain_mask, order):
+        def within_cap(adjacency, loops, chain, order):
             assert order <= cap
-            return kernel(adj_masks, loop_mask, chain_mask, order)
+            return kernel(adjacency, loops, chain, order)
 
         monkeypatch.setattr("chainsaw._kernels.strata_by_chain_count", within_cap)
         rc, out, _ = run_cli(capsys, "verify", "--n-max", str(n_max), "--a-max", str(a_max), "--brute-cap", str(cap))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainsaw import counting
+from chainsaw import _kernels, counting
 from chainsaw.counting import (
     BRUTE_CAP_ENV,
     ComputationAbandoned,
@@ -21,8 +21,6 @@ from chainsaw.counting import (
     _Packed,
     _exact_context,
     _family_order,
-    _frontier_pass,
-    _identity,
     _poly_add,
     _poly_shift,
     brute_force_strata,
@@ -181,9 +179,10 @@ class TestElimination:
         # the same graphs, with room for every state a 12-vertex graph can reach
         g = random_graph(random.Random(1000 + seed), max_order=12)
         want_poly = reference_polynomial(g)
+        args = g.adjacency, g.loops
         limit = 1 << g.order
-        assert list(_frontier_pass(g, (1,), _poly_add, _poly_shift, limit)) == want_poly
-        assert _frontier_pass(g, 1, operator.add, _identity, limit) == sum(want_poly)
+        assert list(_kernels.frontier_pass(*args, (1,), _poly_add, lambda v: _poly_shift, limit)) == want_poly
+        assert _kernels.frontier_pass(*args, 1, operator.add, lambda v: _kernels.same, limit) == sum(want_poly)
 
     def test_a_wide_frontier_hands_over_to_branching(self, monkeypatch):
         # past the centre, 2^k blocked sets of the outer ring after k of its 8 neighbours: over 32 at k = 5
@@ -339,6 +338,7 @@ class TestCliquePieces:
         default = independence_polynomial(g)
         assert sum(default) == count
         with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would outlive the examples
+            # the oracle is the frontier pass run to the end, so only the branching checks it independently
             patch.setattr(*BRANCH_ONLY)
             assert count_via_elimination(g) == count
             assert independence_polynomial(g) == default

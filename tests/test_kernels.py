@@ -1,6 +1,8 @@
-"""The lowest-vertex branching oracle kernel against the definition."""
+"""The oracle, the frontier pass run with no state limit, against the definition."""
 
+import itertools
 import math
+import operator
 import random
 import time
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainsaw import _kernels
 from chainsaw.counting import (
+    _PASS_STATES,
     brute_force_strata,
     count_brute_force,
     count_via_elimination,
@@ -22,18 +25,15 @@ from chainsaw.sequences import lucas_U, lucas_V
 from helpers import random_graph, reference_count, reference_strata
 
 
-def _masks(g: Graph) -> tuple[list[int], int, int]:
-    adj = [sum(1 << u for u in g.adjacency[v]) for v in range(g.order)]
-    loop_mask = sum(1 << v for v in g.loops)
-    chain_mask = sum(1 << v for v in g.chain_vertices())
-    return adj, loop_mask, chain_mask
+def _strata(g: Graph, chain=None) -> list[int]:
+    chain = set(g.chain_vertices()) if chain is None else chain
+    counts = _kernels.strata_by_chain_count(g.adjacency, g.loops, chain, g.order)
+    assert len(counts) == g.order + 1
+    return counts
 
 
 def _count(g: Graph) -> int:
-    adj, loop_mask, _ = _masks(g)
-    counts = _kernels.strata_by_chain_count(adj, loop_mask, 0, g.order)
-    assert len(counts) == g.order + 1
-    return counts[0]
+    return _strata(g, ())[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -45,33 +45,27 @@ def test_count_matches_reference_on_both_backends(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_strata_match_reference_on_both_backends(seed):
     g = random_graph(random.Random(100 + seed), max_order=12)
-    adj, loop_mask, chain_mask = _masks(g)
-    counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order)
-    assert {t: c for t, c in enumerate(counts) if c} == reference_strata(g)
+    assert {t: c for t, c in enumerate(_strata(g)) if c} == reference_strata(g)
 
 
 def test_matches_reference_on_300_random_graphs():
     rng = random.Random(300)
     for _ in range(300):
         g = random_graph(rng, max_order=14, loop_prob=0.15)
-        adj, loop_mask, chain_mask = _masks(g)
-        counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order)
-        assert {t: c for t, c in enumerate(counts) if c} == reference_strata(g), g
+        assert {t: c for t, c in enumerate(_strata(g)) if c} == reference_strata(g), g
         assert _count(g) == reference_count(g), g
 
 
 def test_empty_graph_has_one_independent_set():
-    assert _kernels.strata_by_chain_count([], 0, 0, 0) == [1]
+    assert _strata(Graph.build(0)) == [1]
 
 
 def test_all_loops_leave_only_the_empty_set():
-    assert _kernels.strata_by_chain_count([0, 0, 0], 0b111, 0b111, 3) == [1, 0, 0, 0]
+    assert _strata(Graph.build(3, [], loops=range(3))) == [1, 0, 0, 0]
 
 
 def test_zero_chain_mask_puts_everything_in_stratum_zero():
-    g = make_cycle(6)
-    adj, loop_mask, _ = _masks(g)
-    counts = _kernels.strata_by_chain_count(adj, loop_mask, 0, g.order)
+    counts = _strata(make_cycle(6), ())
     assert counts[0] == lucas_V(6, 1, -1)
     assert sum(counts[1:]) == 0
 
@@ -85,17 +79,14 @@ def test_cycles_of_odd_order_and_at_the_default_cap():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_matches_plain_enumeration(data):
-    # any graph of order <= 14, with loops and a random chain mask, against all 2^order subsets
+    # any graph of order <= 14, with loops and random roles, against all 2^order subsets
     order = data.draw(st.integers(min_value=0, max_value=14))
     pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     loops = data.draw(st.sets(st.integers(min_value=0, max_value=order - 1))) if order else set()
     roles = tuple(data.draw(st.lists(st.sampled_from((CHAIN, BLADE)), min_size=order, max_size=order)))
     g = Graph.build(order, edges, loops, roles)
-    adj, loop_mask, chain_mask = _masks(g)
-    counts = _kernels.strata_by_chain_count(adj, loop_mask, chain_mask, g.order)
-    assert len(counts) == g.order + 1
-    assert {t: c for t, c in enumerate(counts) if c} == reference_strata(g)
+    assert {t: c for t, c in enumerate(_strata(g)) if c} == reference_strata(g)
 
 
 def test_no_mask_width_limit():
@@ -108,27 +99,30 @@ def test_no_mask_width_limit():
 
 def test_edgeless_graph_fills_every_stratum():
     # 2^order independent sets; with no chain vertex, stratum 0 takes the largest count a slot holds
-    assert _kernels.strata_by_chain_count([0] * 20, 0, 0, 20) == [1 << 20] + [0] * 20
-    assert _kernels.strata_by_chain_count([0] * 20, 0, (1 << 20) - 1, 20) == [math.comb(20, t) for t in range(21)]
+    g = Graph.build(20, [])
+    assert _strata(g, ()) == [1 << 20] + [0] * 20
+    assert _strata(g) == [math.comb(20, t) for t in range(21)]
 
 
 def test_vertices_with_no_free_neighbour_are_factored_out():
-    # 2^49 sets to test one by one; the branches merge into one state per level, so both take microseconds
-    chain = sum(1 << v for v in range(1, 49, 3))  # k = 16 chain vertices
+    # 2^49 sets to test one by one; the choices merge into one state per step, so both take microseconds
+    chain = set(range(1, 49, 3))  # k = 16 chain vertices
     expected = [math.comb(16, t) << (49 - 16) for t in range(17)] + [0] * 33
-    hub = [sum(1 << v for v in range(1, 49))] + [1] * 48  # vertex 0 looped, every other one on it only
-    for adj, loops, free in (([0] * 49, 0, 49), (hub, 1, 48)):
+    hub = Graph.build(49, [(0, v) for v in range(1, 49)], loops=[0])  # every other vertex on the looped 0 only
+    for g, free in ((Graph.build(49, []), 49), (hub, 48)):
         start = time.perf_counter()
-        strata = _kernels.strata_by_chain_count(adj, loops, chain, 49)
+        strata = _strata(g, chain)
         assert time.perf_counter() - start < 1.0
         assert strata == [c >> (49 - free) for c in expected]
 
 
 def test_complete_bipartite_graph_is_a_few_states():
-    # K_{20,20}, every vertex chain: the nonempty sets lie on one side, 2 C(20, t) - [t = 0]
-    left, right = (1 << 20) - 1, ((1 << 20) - 1) << 20
+    # K_{20,20}, every vertex chain: the nonempty sets lie on one side, 2 C(20, t) - [t = 0]. Breadth-first
+    # from 0 the right side comes next, and a step holds at most 3 states: nothing blocked, the rest of
+    # the right side blocked by 0, or the left side blocked by a right vertex
+    g = Graph.build(40, [(u, v) for u in range(20) for v in range(20, 40)])
     start = time.perf_counter()
-    strata = _kernels.strata_by_chain_count([right] * 20 + [left] * 20, 0, (1 << 40) - 1, 40)
+    strata = _strata(g)
     assert time.perf_counter() - start < 0.2
     assert strata == [2 * math.comb(20, t) - (t == 0) for t in range(41)]
 
@@ -142,7 +136,7 @@ def test_long_cycle_and_path_within_their_cap():
 
 
 def test_chainsaws_are_numbered_chain_by_chain():
-    # C(24, 2, 2) at 48 vertices: numbered breadth-first, each blade comes next to its chain vertex,
+    # C(24, 2, 2) at 48 vertices: breadth-first, each blade comes next to its chain vertex,
     # so a state does not carry the blades of the chain vertices already passed
     params = ChainsawParams(24, 2, 2)
     g = family_graph(params, "chainsaw")
@@ -153,13 +147,11 @@ def test_chainsaws_are_numbered_chain_by_chain():
 
 
 def test_perfect_matching_at_the_default_cap():
-    # edges i -- i + 13, 2^12 states at each of levels 12 and 13: each edge holds neither
-    # end or one of its two, so (1 + 2z)^13 and 3^13 sets
-    adj = [1 << (v + 13) for v in range(13)] + [1 << v for v in range(13)]
-    assert _kernels.strata_by_chain_count(adj, 0, (1 << 26) - 1, 26) == [
-        math.comb(13, t) << t for t in range(14)
-    ] + [0] * 13
-    assert _kernels.strata_by_chain_count(adj, 0, 0, 26) == [3**13] + [0] * 26
+    # edges i -- i + 13: each edge holds neither end or one of its two, so (1 + 2z)^13 and 3^13 sets.
+    # Breadth-first puts i + 13 right after i, so a step holds at most 2 states
+    g = Graph.build(26, [(v, v + 13) for v in range(13)])
+    assert _strata(g) == [math.comb(13, t) << t for t in range(14)] + [0] * 13
+    assert _strata(g, ()) == [3**13] + [0] * 26
 
 
 def test_ladder_at_the_default_cap_matches_elimination():
@@ -169,6 +161,16 @@ def test_ladder_at_the_default_cap_matches_elimination():
     strata = brute_force_strata(g, cap=26)
     assert sum(strata.values()) == count_via_elimination(g)
     assert [strata.get(t, 0) for t in range(max(strata) + 1)] == list(independence_polynomial(g))
+
+
+def test_the_oracle_has_no_state_limit():
+    # G(18, 0.3) peaks at 41 states a step, past the frontier pass's limit, so elimination branches
+    # on it; at 18 vertices the reference's scan of every subset still takes well under a second
+    rng = random.Random(1)
+    g = Graph.build(18, [(u, v) for u, v in itertools.combinations(range(18), 2) if rng.random() < 0.3])
+    assert _kernels.frontier_pass(g.adjacency, g.loops, 1, operator.add, lambda v: _kernels.same, _PASS_STATES) is None
+    assert brute_force_strata(g) == reference_strata(g)
+    assert count_via_elimination(g) == count_brute_force(g)
 
 
 def test_the_backend_is_pure_python():
