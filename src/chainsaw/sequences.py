@@ -8,16 +8,16 @@ distinguished only by its seeds:
     D (Dickson 1st):  D_0 = 2, D_1 = x
     E (Dickson 2nd):  E_0 = 1, E_1 = x
 
-D and E also have binomial summations, whose weights ``_dickson_weights``
-carries from term to term: ``_dickson_terms`` lists the summands (the
-closed-form strata) and ``_dickson_sum`` adds them in Horner form, in linear
-memory. Every kind is U_n or V_n at a shifted index (D_n = V_n,
-E_n = U_{n+1}), and the ``matrix`` method takes O(log n) doublings of the
-triple (U_k, V_k, q^k), which fixes the k-th power of the 2x2 companion
-matrix, and one product to finish. ``evaluate`` returns arbitrary-precision
-Python ints; parameters may be negative or zero. The command line prints a
-``matrix`` value from the same doubling on exact Decimals
-(``counting.sequence_text``), computed in the base it is printed in, and
+D and E also have binomial summations, whose weights ``_dickson_weights`` carries from
+term to term: ``_dickson_terms`` lists the summands (the closed-form strata) and
+``_dickson_sum`` adds them in Horner form, in linear memory. The ``recurrence`` method
+moves up to 64 steps a block, by four products of the pair (W_m, W_{m+1}) with short U_k
+(``_by_recurrence``). Every kind is U_n or V_n at a shifted index (D_n = V_n,
+E_n = U_{n+1}), and the ``matrix`` method takes O(log n) doublings of the triple
+(U_k, V_k, q^k), which fixes the k-th power of the 2x2 companion matrix, and one product
+to finish. ``evaluate`` returns arbitrary-precision Python ints; parameters may be
+negative or zero. The command line prints a ``matrix`` value from the same doubling on
+exact Decimals (``counting.sequence_text``), computed in the base it is printed in, and
 ``poly`` runs it on the packed factors of ``counting._Packed``.
 """
 
@@ -29,6 +29,7 @@ from .graphs import _Frozen, _check_int
 
 KINDS = ("U", "V", "D", "E")
 METHODS = ("recurrence", "summation", "matrix")
+_BLOCK_BITS, _BLOCK_STEPS = 120, 64  # bounds on the coefficients of a recurrence block
 
 
 def binom(n: int, k: int) -> int:
@@ -39,18 +40,32 @@ def binom(n: int, k: int) -> int:
 
 
 def _by_recurrence(n: int, p: int, q: int, w0: int, w1: int) -> int:
-    for _ in range(n):
+    """W_n from (W_0, W_1) = (w0, w1), k steps a block: W_{m+k} = U_k W_{m+1} - q U_{k-1} W_m, and at k + 1.
+
+    A block is four products by short coefficients, not 3k long operations. U_0 .. U_{k+1} come from
+    the recurrence on small ints, below 2^_BLOCK_BITS, with k <= _BLOCK_STEPS (U stays small at (1, 1))
+    and k <= n / 8. The n mod k steps left over, or all n if k < 2, run one at a time first, on the seeds.
+    """
+    u = [0, 1]  # U_0 .. U_{k+1}
+    while len(u) < min(n // 8, _BLOCK_STEPS) + 2 and (w := p * u[-1] - q * u[-2]).bit_length() <= _BLOCK_BITS:
+        u.append(w)
+    blocks, steps = divmod(n, len(u) - 2) if len(u) > 3 else (0, n)  # a one-step block is dearer than a step
+    for _ in range(steps):
         w0, w1 = w1, p * w1 - q * w0
+    if blocks:  # u ends U_{k-1}, U_k, U_{k+1}
+        a, b, c, d = u[-2], q * u[-3], u[-1], q * u[-2]
+        for _ in range(blocks):
+            w0, w1 = a * w1 - b * w0, c * w1 - d * w0
     return w0
 
 
 def lucas_U(n: int, p: int, q: int) -> int:
-    """Lucas sequence of the first kind: U_0 = 0, U_1 = 1."""
+    """Lucas sequence of the first kind: U_0 = 0, U_1 = 1, by the recurrence in blocks of k steps."""
     return _by_recurrence(n, p, q, 0, 1)
 
 
 def lucas_V(n: int, p: int, q: int) -> int:
-    """Lucas sequence of the second kind: V_0 = 2, V_1 = p."""
+    """Lucas sequence of the second kind: V_0 = 2, V_1 = p, by the recurrence in blocks of k steps."""
     return _by_recurrence(n, p, q, 2, p)
 
 

@@ -1,10 +1,11 @@
 """Reference implementations shared by the test modules.
 
-Everything here re-derives its answer straight from the definition of an
-independent set, by scanning vertex subsets with itertools. No code is
-shared with the package engines, so agreement between an engine and a
-reference is a genuine cross-check rather than a tautology. The broken
-chainsaw likewise comes from its definition, by deleting a vertex.
+Everything here re-derives its answer straight from a definition: an
+independent set by growing vertex sets one vertex at a time, a Lucas-type
+value by its recurrence one step at a time. No code is shared with the
+package engines, so agreement between an engine and a reference is a genuine
+cross-check rather than a tautology. The broken chainsaw likewise comes from
+its definition, by deleting a vertex.
 """
 
 import itertools
@@ -13,12 +14,19 @@ from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_chainsaw
 
 
 def independent_subsets(g):
-    """Yield every independent set of g, each as a tuple of vertices."""
-    free = [v for v in range(g.order) if v not in g.loops]
-    for r in range(len(free) + 1):
-        for combo in itertools.combinations(free, r):
-            if all(v not in g.adjacency[u] for u, v in itertools.combinations(combo, 2)):
-                yield combo
+    """Yield every independent set of g, each as an increasing tuple of vertices.
+
+    A set grows by one vertex above its largest, chosen among the unlooped
+    vertices with no neighbour in the set, so every step yields a new set and
+    the cost is one step per independent set, not one per subset.
+    """
+
+    def grow(chosen, candidates):
+        yield chosen
+        for i, v in enumerate(candidates):
+            yield from grow(chosen + (v,), [u for u in candidates[i + 1 :] if u not in g.adjacency[v]])
+
+    return grow((), [v for v in range(g.order) if v not in g.loops])
 
 
 def reference_count(g):
@@ -39,6 +47,13 @@ def reference_strata(g):
         t = len(chain.intersection(s))
         table[t] = table.get(t, 0) + 1
     return table
+
+
+def reference_recurrence(n, p, q, w0, w1):
+    """W_n of W_k = p W_{k-1} - q W_{k-2} from (W_0, W_1) = (w0, w1), one step at a time."""
+    for _ in range(n):
+        w0, w1 = w1, p * w1 - q * w0
+    return w0
 
 
 def random_graph(rng, max_order=12, loop_prob=0.1):

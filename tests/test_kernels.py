@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from chainsaw import _kernels
 from chainsaw.counting import (
     _PASS_STATES,
+    DEFAULT_BRUTE_CAP,
     brute_force_strata,
     count_brute_force,
     count_via_elimination,
@@ -171,6 +172,14 @@ def test_the_oracle_has_no_state_limit():
     assert _kernels.frontier_pass(g.adjacency, g.loops, 1, operator.add, lambda v: _kernels.same, _PASS_STATES) is None
     assert brute_force_strata(g) == reference_strata(g)
     assert count_via_elimination(g) == count_brute_force(g)
+
+
+def test_matches_reference_at_the_default_cap():
+    # the reference grows independent sets one vertex at a time, so 31,524 sets cost well under a second
+    rng = random.Random(1)
+    g = Graph.build(26, [(u, v) for u, v in itertools.combinations(range(26), 2) if rng.random() < 0.2])
+    assert g.order == DEFAULT_BRUTE_CAP
+    assert brute_force_strata(g) == reference_strata(g)
 
 
 def test_the_backend_is_pure_python():

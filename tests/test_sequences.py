@@ -7,13 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainsaw import sequences
 from chainsaw.counting import decimal_text, sequence_text
 from chainsaw.graphs import NotAnInt
 from chainsaw.sequences import (
+    _BLOCK_BITS,
+    _BLOCK_STEPS,
     KINDS,
     METHODS,
     SequenceSpec,
     _by_matrix,
+    _by_recurrence,
     _dickson_terms,
     binom,
     dickson_D_sum,
@@ -22,6 +26,7 @@ from chainsaw.sequences import (
     lucas_U,
     lucas_V,
 )
+from helpers import reference_recurrence
 
 PQ_EXAMPLES = [(1, -1), (7, 9), (-2, 3), (0, -5)]
 
@@ -271,3 +276,70 @@ class TestIndexDoubling:
         # no level has a long V_k but a short U_k, so each level has both products or neither
         assert all(bits("V", k) <= 64 for k in starts if k not in levels)
         assert len(long_products) == 2 * len(levels) + 1
+
+
+class TestBlockedRecurrence:
+    """``_by_recurrence`` moves k steps a block; the reference moves one."""
+
+    @staticmethod
+    def seed_pairs(p):
+        return ((0, 1), (2, p), (1, p))  # U, V and D, E
+
+    def test_matches_one_step_on_a_grid(self):
+        # p = 0, q = 0 and p^2 = 4q are on the grid; n up to 200 has blocks and left-over steps
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                for w0, w1 in self.seed_pairs(p):
+                    want = [reference_recurrence(n, p, q, w0, w1) for n in range(201)]
+                    assert [_by_recurrence(n, p, q, w0, w1) for n in range(201)] == want, (p, q, w0, w1)
+
+    @pytest.mark.parametrize("p,q", [(10**30, 3), (-(10**30), -7), (3, 10**40), (2**_BLOCK_BITS, 1)])
+    def test_coefficients_past_the_bound(self, p, q):
+        # U_2 = p or U_3 = p^2 - q is past the bound, so every step runs one at a time
+        for n in (0, 1, 2, 3, 17, 200, 513):
+            for w0, w1 in self.seed_pairs(p):
+                assert _by_recurrence(n, p, q, w0, w1) == reference_recurrence(n, p, q, w0, w1), (n, w0, w1)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (0, 0), (1, 0), (-1, 1), (2, 1)])
+    def test_coefficients_that_stay_small(self, p, q):
+        # U is periodic, zero, constant or U_k = k: only the length cap ends the block
+        for n in (8 * _BLOCK_STEPS - 1, 8 * _BLOCK_STEPS, 8 * _BLOCK_STEPS + 1, 3001, 100_000):
+            for w0, w1 in self.seed_pairs(p):
+                assert _by_recurrence(n, p, q, w0, w1) == reference_recurrence(n, p, q, w0, w1), (n, w0, w1)
+
+    @pytest.mark.parametrize("kind", ["V", "E"])
+    @pytest.mark.parametrize("p", [7, -7])
+    def test_benchmark_shape_matches_the_doubling(self, kind, p):
+        # the big-index requests: about 29k-bit values at n about 10^4
+        for n in (10_000, 10_101):
+            rec = evaluate(SequenceSpec(kind, n, p, -3, "recurrence"))
+            assert rec == evaluate(SequenceSpec(kind, n, p, -3, "matrix"))
+            assert rec.bit_length() > 28_000
+
+    def test_shares_no_code_with_the_doubling(self, monkeypatch):
+        # so verify's "lucas ...: recurrence == matrix" rows compare independent routes
+        want = {kind: evaluate(SequenceSpec(kind, 3000, 7, -3, "matrix")) for kind in KINDS}
+
+        def refuse(*args):
+            raise AssertionError("the recurrence called the doubling")
+
+        monkeypatch.setattr(sequences, "_step", refuse)
+        monkeypatch.setattr(sequences, "_by_matrix", refuse)
+        assert {kind: evaluate(SequenceSpec(kind, 3000, 7, -3, "recurrence")) for kind in KINDS} == want
+
+    def test_long_products_per_block(self):
+        # at (7, -3) U grows about 2.9 bits a step, so a block is dozens of steps and four
+        # products touch the long pair, against two products a step one at a time
+        Counted, _ = counted_ints()
+        long_products = []
+        mul = Counted.__mul__
+
+        def counting_mul(self, other):
+            if max(self.bit_length(), other.bit_length()) > _BLOCK_BITS:
+                long_products.append(1)
+            return mul(self, other)
+
+        Counted.__mul__ = Counted.__rmul__ = counting_mul
+        n = 10_000
+        assert _by_recurrence(n, 7, -3, Counted(2), Counted(7)) == lucas_V(n, 7, -3)
+        assert 0 < len(long_products) < n // 8
