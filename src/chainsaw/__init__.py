@@ -2,10 +2,10 @@
 
 The package builds chainsaw graphs C(n, a, b) and broken chainsaws
 P(n, a, b), the n-vertex cycle and path being C(n, 1, 1) and P(n, 1, 1);
-counts their independent sets with three mutually cross-checking engines
-(brute-force enumeration, memoized elimination, binomial closed forms);
-and evaluates the Lucas sequences and Dickson polynomials those counts
-realize.
+counts their independent sets with three engines (brute-force enumeration,
+memoized elimination, binomial closed forms), the first two sharing one pass
+and so checked against the Dickson summation and index doubling, not each
+other; and evaluates the Lucas sequences and Dickson polynomials they realize.
 """
 
 from .counting import (

@@ -15,8 +15,8 @@ those of ``json.dumps(report, indent=2)``.
 ``main`` may be called any number of times in one process. It builds its
 parser with ``build_parser`` on the first call and parses every later
 ``argv`` with that parser; a parse leaves no state behind, so each call
-behaves as in a fresh process. Option choices are read from their tables
-(``--inject-family``'s from ``counting._ENCODING``) when the parser is built.
+behaves as in a fresh process. Option choices are read from their tables when the
+parser is built: ``--family``'s from ``_UNIT_ROWS`` and ``counting._ENCODING``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_jso
 from .sequences import KINDS, METHODS, SequenceSpec
 from .verify import InjectedGraph, report_text, run_verification
 
-GRAPH_FAMILIES = ("path", "cycle", "chainsaw", "broken")
 COUNT_METHODS = ("brute", "eliminate", "closed-form")
 _UNIT_ROWS = {"path": "broken", "cycle": "chainsaw"}  # the a = b = 1 rows of the family table
 
@@ -116,7 +115,7 @@ def _cmd_verify(args) -> int:
 
 
 def _add_family_options(sub) -> None:
-    sub.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
+    sub.add_argument("--family", required=True, choices=(*_UNIT_ROWS, *_ENCODING))
     sub.add_argument("--n", required=True, type=int)
     sub.add_argument("--a", type=int)
     sub.add_argument("--b", type=int)

@@ -27,10 +27,10 @@ share the frontier pass, so no verify row compares those two:
   ``polynomial_text`` prints the w-digit slots of the result as they
   stand. At a = 1 there are no blades, so the strata are the coefficients.
 
-Each family's encoding, its graph and its Dickson kind and index (chainsaw
-D_n = V_n, broken E_{n+1} = U_{n+2}), is one row of the table ``_ENCODING``.
-The n-vertex cycle and path are its rows at (n, 1, 1). A row admits n from
-1 - its index shift: C(n, a, b) from n = 1, P(n, a, b) from n = 0.
+Each family's Dickson kind and index shift (chainsaw D_n = V_n, broken E_{n+1} =
+U_{n+2}) is one row of ``_ENCODING``; the shift picks its graph, P(n, a, b) or
+C(n, a, b), and the n-vertex cycle and path are its rows at (n, 1, 1). A row
+admits n from 1 - its shift: C(n, a, b) from n = 1, P(n, a, b) from n = 0.
 
 Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
@@ -46,7 +46,6 @@ import operator
 import os
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from itertools import repeat
-from typing import Callable
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
@@ -63,12 +62,7 @@ _BASE_BITS = 4096  # pieces this narrow (about 1233 digits) become a Decimal dir
 # (sys.int_info.str_digits_check_threshold, 640), so str() always prints it
 _STR_BITS = 2000
 
-# family -> (Dickson kind, index shift, generator). A generator is looked up by name
-# when called, so a wrapper put on that name (as by a tracer) sees every build.
-_ENCODING = {
-    "chainsaw": ("D", 0, lambda params: make_chainsaw(params)),
-    "broken": ("E", 1, lambda params: make_broken_chainsaw(params)),
-}
+_ENCODING = {"chainsaw": ("D", 0), "broken": ("E", 1)}  # family -> (Dickson kind, index shift)
 
 
 class OracleCapExceeded(RuntimeError):
@@ -157,10 +151,6 @@ def resolve_brute_cap(cap: int | None) -> int:
     if cap < 1:
         raise ValueError(f"{source} must be at least 1, got {cap}")
     return cap
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(map((1).__lshift__, nbrs)) for nbrs in g.adjacency]
 
 
 def _check_cap(order: int, cap: int | None) -> None:
@@ -314,7 +304,7 @@ def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     passed = _kernels.frontier_pass(g.adjacency, g.loops, one, add, lambda v: shift, min(_PASS_STATES, max_states))
     if passed is not None:
         return passed
-    adj = _adjacency_masks(g)
+    adj = [sum(map((1).__lshift__, nbrs)) for nbrs in g.adjacency]
     live = ((1 << g.order) - 1) & ~sum(1 << v for v in g.loops)
     single = add(one, shift(one))
     cliques: dict = {}  # k -> 1 + kx
@@ -390,15 +380,15 @@ def count_via_elimination(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> 
     return _eliminate(g, 1, operator.add, _kernels.same, operator.mul, max_states)
 
 
-def _family(params: ChainsawParams, family: str) -> tuple[str, int, Callable[[ChainsawParams], Graph]]:
+def _family(params: ChainsawParams, family: str) -> tuple[str, int]:
     """The family's row of ``_ENCODING``, once `params` is known to be in its domain."""
     try:
-        kind, shift, generator = _ENCODING[family]
+        kind, shift = _ENCODING[family]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_ENCODING)}") from None
     if params.n + shift < 1:
         raise ValueError(f"family {family!r} requires n >= {1 - shift}, got n={params.n}")
-    return kind, shift, generator
+    return kind, shift
 
 
 def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int]:
@@ -411,7 +401,7 @@ def stratified_closed_form(params: ChainsawParams, family: str) -> dict[int, int
     usable states and the remaining blades with a (one blade vertex or
     none), which is where the powers come from.
     """
-    kind, shift, _ = _family(params, family)
+    kind, shift = _family(params, family)
     return dict(enumerate(_dickson_terms(kind, params.n + shift, params.a, -params.b)))
 
 
@@ -424,22 +414,20 @@ def closed_form_count(params: ChainsawParams, family: str) -> int:
     the verification sweep checks that against index doubling rather than
     assuming it here.
     """
-    kind, shift, _ = _family(params, family)
+    kind, shift = _family(params, family)
     return _dickson_sum(kind, params.n + shift, params.a, -params.b)
 
 
 def _decimal_lucas(kind: str, n: int, p, q) -> Decimal:
     """The `kind` value at index n, at (p, q), as an exact Decimal, by ``sequences._by_matrix``.
 
-    That is U_n, V_n = D_n or E_n = U_{n+1}, from the doubling of
-    (U_k, V_k, q^k). p and q are exact Decimals or packed factors
-    (``_Packed``). Every operation runs in the exact context, where the
-    doubling's halvings by // are exact integer divisions; outside it one
-    addition rounds a long value to the default 28 digits. The closing
-    + Decimal(0) makes an int value (index below 2) a Decimal, sets the
-    exponent to 0 (a packed product can leave it positive, which str prints
-    as 1E+5), and turns the -0 a product with a zero factor can leave
-    (V_3(0, 1)) into 0.
+    p and q are exact Decimals or packed factors (``_Packed``). Every
+    operation runs in the exact context, where the doubling's halvings by //
+    are exact integer divisions; outside it one addition rounds a long value
+    to the default 28 digits. The closing + Decimal(0) makes an int value
+    (index below 2) a Decimal, sets the exponent to 0 (a packed product can
+    leave it positive, which str prints as 1E+5), and turns the -0 a product
+    with a zero factor can leave (V_3(0, 1)) into 0.
     """
     with localcontext(_exact_context()):
         return _by_matrix(kind, n, p, q) + Decimal(0)
@@ -466,7 +454,7 @@ class _Packed:
 
 def _packed_coefficients(params: ChainsawParams, family: str) -> list[str]:
     """The coefficients' decimal texts, lowest degree first, cut from the value at 10^w (a >= 2)."""
-    kind, shift, _ = _family(params, family)
+    kind, shift = _family(params, family)
     w = len(decimal_text(closed_form_count(params, family)))
     p = _Packed(0, 1, params.a - 1, w)  # 1 + (a-1) x
     q = _Packed(1, -1, 1 - params.b, w)  # -x (1 + (b-1) x)
@@ -511,8 +499,12 @@ def polynomial_text(params: ChainsawParams, family: str) -> str:
 
 
 def family_graph(params: ChainsawParams, family: str) -> Graph:
-    """The generated graph a closed form refers to."""
-    return _family(params, family)[2](params)
+    """The generated graph a closed form refers to: P(n, a, b) at an index shift, else C(n, a, b).
+
+    Each generator is looked up by its module-level name when called, so a
+    wrapper put on that name (as by a tracer) sees every build.
+    """
+    return (make_broken_chainsaw if _family(params, family)[1] else make_chainsaw)(params)
 
 
 def _family_order(params: ChainsawParams, family: str) -> int:

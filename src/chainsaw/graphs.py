@@ -174,12 +174,7 @@ class Graph(_Frozen):
 
     def edges(self) -> list[tuple[int, int]]:
         """Non-loop edges as sorted (u, v) pairs with u < v."""
-        return sorted(
-            (v, u) if u > v else (u, v)
-            for v, nbrs in enumerate(self.adjacency)
-            for u in nbrs
-            if u > v
-        )
+        return sorted((v, u) for v, nbrs in enumerate(self.adjacency) for u in nbrs if u > v)
 
     def chain_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, r in enumerate(self.roles) if r == CHAIN)
@@ -296,8 +291,9 @@ def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
         order, edges, loops, roles = obj["order"], obj["edges"], obj["loops"], obj["roles"]
-        if type(roles) is not list:
-            raise TypeError(f"roles must be a list, got {roles!r}")
+        for name, value in (("edges", edges), ("loops", loops), ("roles", roles)):
+            if type(value) is not list:
+                raise TypeError(f"{name} must be a list, got {value!r}")
         return Graph.build(order, [_pair(e) for e in edges], loops, roles)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed graph json: {exc}") from exc

@@ -1,24 +1,24 @@
 """Exact integer engines for Lucas sequences and Dickson polynomials.
 
-Everything here is a second-order linear recurrence W_k = p*W_{k-1} - q*W_{k-2}
-distinguished only by its seeds:
+Everything here is the recurrence W_k = p*W_{k-1} - q*W_{k-2} from other seeds; each kind
+is U or V at a shifted index, which every route reads from the kind table ``_LUCAS_VALUE``:
 
     U (first kind):   U_0 = 0, U_1 = 1     (U at (1, -1) is Fibonacci)
     V (second kind):  V_0 = 2, V_1 = p     (V at (1, -1) is Lucas)
-    D (Dickson 1st):  D_0 = 2, D_1 = x
-    E (Dickson 2nd):  E_0 = 1, E_1 = x
+    D (Dickson 1st):  D_0 = 2, D_1 = x     (D_n = V_n)
+    E (Dickson 2nd):  E_0 = 1, E_1 = x     (E_n = U_{n+1})
 
 D and E also have binomial summations, whose weights ``_dickson_weights`` carries from
 term to term: ``_dickson_terms`` lists the summands (the closed-form strata) and
 ``_dickson_sum`` adds them in Horner form, in linear memory. The ``recurrence`` method
-moves up to 64 steps a block, by four products of the pair (W_m, W_{m+1}) with short U_k
-(``_by_recurrence``). Every kind is U_n or V_n at a shifted index (D_n = V_n,
-E_n = U_{n+1}), and the ``matrix`` method takes O(log n) doublings of the triple
-(U_k, V_k, q^k), which fixes the k-th power of the 2x2 companion matrix, and one product
-to finish. ``evaluate`` returns arbitrary-precision Python ints; parameters may be
-negative or zero. The command line prints a ``matrix`` value from the same doubling on
-exact Decimals (``counting.sequence_text``), computed in the base it is printed in, and
-``poly`` runs it on the packed factors of ``counting._Packed``.
+runs U or V up to 64 steps a block, by four products of the pair (W_m, W_{m+1}) with
+short U_k (``_by_recurrence``). The ``matrix`` method takes O(log n) doublings of the
+triple (U_k, V_k, q^k), which fixes the k-th power of the 2x2 companion matrix, and one
+product to finish. ``evaluate`` dispatches on ``_ROUTES``, keyed by ``METHODS``, and
+returns arbitrary-precision Python ints; parameters may be negative or zero. The command
+line prints a ``matrix`` value from the same doubling on exact Decimals
+(``counting.sequence_text``), computed in the base it is printed in, and ``poly`` runs
+it on the packed factors of ``counting._Packed``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import math
 
 from .graphs import _Frozen, _check_int
 
-KINDS = ("U", "V", "D", "E")
-METHODS = ("recurrence", "summation", "matrix")
+# kind -> (whether it is the second-kind value V, index shift): D_n = V_n, E_n = U_{n+1}
+_LUCAS_VALUE = {"U": (False, 0), "V": (True, 0), "D": (True, 0), "E": (False, 1)}
+KINDS = tuple(_LUCAS_VALUE)
 _BLOCK_BITS, _BLOCK_STEPS = 120, 64  # bounds on the coefficients of a recurrence block
 
 
@@ -67,6 +68,11 @@ def lucas_U(n: int, p: int, q: int) -> int:
 def lucas_V(n: int, p: int, q: int) -> int:
     """Lucas sequence of the second kind: V_0 = 2, V_1 = p, by the recurrence in blocks of k steps."""
     return _by_recurrence(n, p, q, 2, p)
+
+
+def _recurrence(kind: str, n: int, p: int, q: int) -> int:
+    second, shift = _LUCAS_VALUE[kind]
+    return (lucas_V if second else lucas_U)(n + shift, p, q)
 
 
 def _dickson_weights(kind: str, n: int, y: int):
@@ -129,14 +135,6 @@ class SequenceSpec(_Frozen):
         self._init(kind, n, p, q, method)
 
 
-def _seeds(kind: str, p):
-    return {"U": (0, 1), "V": (2, p), "D": (2, p), "E": (1, p)}[kind]
-
-
-# kind -> (whether it is the second-kind value V, index shift): D_n = V_n, E_n = U_{n+1}
-_LUCAS_VALUE = {"U": (False, 0), "V": (True, 0), "D": (True, 0), "E": (False, 1)}
-
-
 def _step(p, q, u, v):
     """(U_{k+1}, V_{k+1}) from (U_k, V_k): (p U_k + V_k) / 2 and p U_{k+1} - 2 q U_k.
 
@@ -185,6 +183,10 @@ def _by_matrix(kind: str, n: int, p, q):
     return u * v - qk
 
 
+_ROUTES = {"recurrence": _recurrence, "summation": _dickson_sum, "matrix": _by_matrix}  # route(kind, n, p, q)
+METHODS = tuple(_ROUTES)
+
+
 def _check_spec(spec: SequenceSpec) -> None:
     """ValueError unless `spec` has int n, p and q and names a kind, a method for it and n >= 0."""
     for name in ("n", "p", "q"):
@@ -200,10 +202,6 @@ def _check_spec(spec: SequenceSpec) -> None:
 
 
 def evaluate(spec: SequenceSpec) -> int:
-    """Evaluate a SequenceSpec, dispatching on kind and method."""
+    """Evaluate a checked SequenceSpec by its method's route in ``_ROUTES``."""
     _check_spec(spec)
-    if spec.method == "summation":
-        return _dickson_sum(spec.kind, spec.n, spec.p, spec.q)
-    if spec.method == "recurrence":
-        return _by_recurrence(spec.n, spec.p, spec.q, *_seeds(spec.kind, spec.p))
-    return _by_matrix(spec.kind, spec.n, spec.p, spec.q)
+    return _ROUTES[spec.method](spec.kind, spec.n, spec.p, spec.q)

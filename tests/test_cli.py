@@ -503,6 +503,11 @@ class TestVerify:
         rc, out, err = run_cli(capsys, "verify", "--n-max", "2", "--a-max", "1", "--brute-cap", cap)
         assert (rc, out, err) == (2, "", f"error: --brute-cap must be at least 1, got {cap}\n")
 
+    @pytest.mark.parametrize("option,bounds", [("--n-max", "n_max=0, a_max=4"), ("--a-max", "n_max=8, a_max=0")])
+    def test_sweep_bound_below_one_exits_2(self, capsys, option, bounds):
+        message = f"error: sweep bounds must be at least 1, got {bounds}\n"
+        assert run_cli(capsys, "verify", option, "0") == (2, "", message)
+
     def test_brute_cap_option_not_an_integer_exits_2(self, capsys):
         rc, out, err = usage_error(capsys, "verify", "--n-max", "2", "--a-max", "1", "--brute-cap", "abc")
         assert (rc, out) == (2, "")

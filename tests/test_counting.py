@@ -1,7 +1,9 @@
 """Cross-checks between the three counting engines and the closed forms."""
 
 import decimal
+import functools
 import inspect
+import itertools
 import json
 import math
 import operator
@@ -196,6 +198,25 @@ class TestElimination:
         monkeypatch.setattr("chainsaw.counting._split", spy)
         assert count_via_elimination(g) == reference_count(g)
         assert splits
+
+    @pytest.mark.parametrize("length", [1, 2, 30, 500])
+    def test_a_spider_counts_as_its_closed_form(self, length):
+        # without the centre, 8 paths P_L; with it, 8 paths P_{L-1}: F_{L+2}^8 + F_{L+1}^8
+        g = _spider(8, length)
+        limit = counting._PASS_STATES
+        passed = _kernels.frontier_pass(g.adjacency, g.loops, 1, operator.add, lambda v: _kernels.same, limit)
+        assert (passed is None) == (length >= 2)  # the star stays in the pass, longer legs reach the branching
+        assert count_via_elimination(g) == lucas_U(length + 2, 1, -1) ** 8 + lucas_U(length + 1, 1, -1) ** 8
+
+    def test_a_spider_polynomial_is_its_closed_form(self):
+        # I(x) = I(P_L; x)^8 + x I(P_{L-1}; x)^8, the path polynomials being the a = 1 broken strata
+        length = 30
+        without, with_centre = (
+            functools.reduce(_convolve, [list(stratified_closed_form(ChainsawParams(m, 1, 1), "broken").values())] * 8)
+            for m in (length, length - 1)
+        )
+        want = [c + d for c, d in itertools.zip_longest(without, [0] + with_centre, fillvalue=0)]
+        assert independence_polynomial(_spider(8, length)) == want
 
     def test_a_long_chainsaw_counts_within_a_small_budget(self):
         # the pass holds at most 12 states a step here; branching takes about 2n memo entries

@@ -353,6 +353,11 @@ class TestGraphValidation:
                 roles=(CHAIN,),
             )
 
+    @pytest.mark.parametrize("u", [2, -1])
+    def test_neighbor_out_of_range_rejected(self, u):
+        with pytest.raises(ValueError, match=f"^neighbor {u} of vertex 0 out of range$"):
+            Graph(order=2, adjacency=(frozenset({u}), frozenset()), loops=frozenset(), roles=(CHAIN, CHAIN))
+
     def test_looped_vertex_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(order=1, adjacency=(frozenset(),), loops=frozenset({3}), roles=(CHAIN,))
@@ -539,6 +544,8 @@ class TestExport:
             pytest.param("[" * 200_000, id="nested-200000-deep"),
             pytest.param('{"order": 3, "edges": [[0, 1, 2]], "loops": [], "roles": []}', id="edge-not-a-pair"),
             pytest.param('{"order": 2, "edges": [[0, 1]], "loops": [], "roles": null}', id="roles-null"),
+            pytest.param('{"order": 2, "edges": "", "loops": [], "roles": ["chain", "chain"]}', id="edges-a-string"),
+            pytest.param('{"order": 2, "edges": [], "loops": {}, "roles": ["chain", "chain"]}', id="loops-an-object"),
         ],
     )
     def test_malformed_json_is_a_value_error(self, text):

@@ -182,5 +182,10 @@ def test_matches_reference_at_the_default_cap():
     assert brute_force_strata(g) == reference_strata(g)
 
 
+def test_an_order_other_than_the_adjacency_length_is_a_value_error():
+    with pytest.raises(ValueError, match="^expected 3 adjacency lists, got 2$"):
+        _kernels.strata_by_chain_count((frozenset({1}), frozenset({0})), frozenset(), (), 3)
+
+
 def test_the_backend_is_pure_python():
     assert _kernels.active_backend() == "python"
