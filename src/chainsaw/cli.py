@@ -3,8 +3,8 @@
 Exit status contract: 0 success, 1 verification disagreement, 2 usage
 error, 3 resource cap (oracle cap exceeded, computation abandoned, out of
 memory, or a result of more than ``counting.MAX_DIGITS`` digits to print).
-All output is written to stdout and is byte-deterministic for identical
-invocations. Every integer printed goes through ``counting.decimal_text``,
+Results go to stdout, byte-deterministic for identical invocations, and
+errors to stderr. Every integer printed goes through ``counting.decimal_text``,
 except a ``seq --method matrix`` value, which ``counting.sequence_text``
 computes on exact Decimals and prints by str, and the coefficients of a
 packed ``poly``, which ``counting.polynomial_text`` cuts from such a

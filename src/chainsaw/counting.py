@@ -48,7 +48,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, loca
 from itertools import repeat
 
 from . import _kernels
-from .graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw
+from .graphs import ChainsawParams, Graph, _check_int, make_broken_chainsaw, make_chainsaw
 from .sequences import SequenceSpec, _by_matrix, _check_spec, _dickson_sum, _dickson_terms, evaluate
 
 DEFAULT_BRUTE_CAP = 26
@@ -136,7 +136,7 @@ def resolve_brute_cap(cap: int | None) -> int:
     """`cap` itself, or else the CHAINSAW_BRUTE_CAP environment variable, or else DEFAULT_BRUTE_CAP.
 
     A cap below 1, or a variable that is not an integer, is a ValueError
-    naming where it came from.
+    naming where it came from; a given cap that is not exactly an int is NotAnInt.
     """
     source = "--brute-cap"
     if cap is None:
@@ -148,6 +148,8 @@ def resolve_brute_cap(cap: int | None) -> int:
             cap = int(env)
         except ValueError:
             raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}") from None
+    else:
+        _check_int(cap, source)
     if cap < 1:
         raise ValueError(f"{source} must be at least 1, got {cap}")
     return cap
@@ -299,8 +301,10 @@ def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     entry. Testing the chosen pivot first keeps that at one comparison per
     state in graphs without cliques. The pending work lives on an explicit
     stack of tasks: a solve task for a connected mask, and a join task that
-    consumes the values its components pushed.
+    consumes the values its components pushed. A `max_states` that is not
+    exactly an int, such as NaN, which no memo size reaches, is NotAnInt.
     """
+    _check_int(max_states, "max_states")
     passed = _kernels.frontier_pass(g.adjacency, g.loops, one, add, lambda v: shift, min(_PASS_STATES, max_states))
     if passed is not None:
         return passed

@@ -81,40 +81,27 @@ class _Frozen:
 
 
 class Graph(_Frozen):
-    """Immutable labeled graph. Build instances with :meth:`Graph.build`; direct ones are checked alike."""
+    """Immutable labeled graph, checked by one routine: :meth:`Graph.build`'s single pass.
+
+    Direct construction hands that pass its adjacency as an edge list: it
+    takes any iterables, stores build's fields (a tuple of frozensets, a
+    frozenset and a tuple) and rejects bad input with build's messages.
+    """
 
     __slots__ = ("order", "adjacency", "loops", "roles")
 
     def __init__(
         self,
         order: int,
-        adjacency: tuple[frozenset[int], ...],
-        loops: frozenset[int],
-        roles: tuple[str, ...],
+        adjacency: Iterable[Iterable[int]],
+        loops: Iterable[int],
+        roles: Iterable[str],
     ) -> None:
-        _check_int(order, "order")
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
-        if len(adjacency) != order or len(roles) != order:
-            raise ValueError("adjacency and roles must have exactly `order` entries")
-        for v, nbrs in enumerate(adjacency):
-            for u in nbrs:  # checked inline: every generated graph passes each neighbor here
-                if type(u) is not int:
-                    raise NotAnInt(f"neighbor of vertex {v} must be an int, got {u!r}")
-                if not 0 <= u < order:
-                    raise ValueError(f"neighbor {u} of vertex {v} out of range")
-                if v not in adjacency[u]:
-                    raise ValueError(f"adjacency not symmetric at edge ({v}, {u})")
-            if v in nbrs:
-                raise ValueError(f"self-loop on {v} must be in `loops`, not adjacency")
-        for v in loops:
-            _check_int(v, "looped vertex")
-            if not 0 <= v < order:
-                raise ValueError(f"looped vertex {v} out of range")
-        for v, r in enumerate(roles):
-            if r not in (CHAIN, BLADE):
-                raise ValueError(f"unknown role {r!r} on vertex {v}")
-        self._init(order, adjacency, loops, roles)
+        adjacency = tuple(map(frozenset, adjacency))
+        built = self.build(order, [(v, u) for v, nbrs in enumerate(adjacency) for u in nbrs], loops, tuple(roles))
+        if built.adjacency != adjacency:  # also unequal when len(adjacency) != order
+            raise ValueError("adjacency must be `order` symmetric sets, with self-loops in `loops`")
+        self._init(*built._fields())
 
     @classmethod
     def build(
@@ -124,15 +111,13 @@ class Graph(_Frozen):
         loops: Iterable[int] = (),
         roles: Iterable[str] | None = None,
     ) -> "Graph":
-        """Construct a graph from an edge list.
+        """Construct a graph from an edge list, in the one pass that checks every graph.
 
         Duplicate edges collapse (the graph is simple); a pair (v, v) is
         treated as a self-loop on v. Roles default to all-chain. The order,
         every edge end and every looped vertex must be an int, else NotAnInt.
         The order and the roles are checked before any adjacency set is
-        allocated. The edge loop leaves an adjacency that ``__init__`` would
-        accept, so only the loops and role values are checked after it, with
-        ``__init__``'s messages, and the fields are set without a second pass.
+        allocated; the fields are set without ``__init__``, which runs this pass.
         """
         _check_int(order, "order")
         if order < 0:

@@ -49,7 +49,7 @@ from .counting import (
     resolve_brute_cap,
     stratified_closed_form,
 )
-from .graphs import ChainsawParams, Graph, _Frozen
+from .graphs import ChainsawParams, Graph, _check_int, _Frozen
 from .sequences import SequenceSpec, evaluate
 
 
@@ -159,8 +159,11 @@ def run_verification(
     """Run the full identity sweep; returns the report as a plain dict.
 
     Strata rows cover the graphs the oracle admits: within its cap, resolved
-    as the oracle resolves it when `brute_cap` is None.
+    as the oracle resolves it when `brute_cap` is None. A bound or cap that
+    is not exactly an int is NotAnInt.
     """
+    _check_int(n_max, "n_max")
+    _check_int(a_max, "a_max")
     if n_max < 1 or a_max < 1:
         raise ValueError(f"sweep bounds must be at least 1, got n_max={n_max}, a_max={a_max}")
     brute_cap = resolve_brute_cap(brute_cap)

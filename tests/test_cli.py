@@ -4,6 +4,8 @@ import collections
 import contextlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -22,7 +24,7 @@ from chainsaw.counting import (
     family_graph,
     stratified_closed_form,
 )
-from chainsaw.graphs import ChainsawParams, Graph, export_graph, make_chainsaw, make_path
+from chainsaw.graphs import ChainsawParams, Graph, NotAnInt, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import KINDS, SequenceSpec, evaluate, lucas_U, lucas_V
 from chainsaw.verify import InjectedGraph, report_text, run_verification
 from helpers import reference_broken_chainsaw
@@ -507,6 +509,16 @@ class TestVerify:
     def test_sweep_bound_below_one_exits_2(self, capsys, option, bounds):
         message = f"error: sweep bounds must be at least 1, got {bounds}\n"
         assert run_cli(capsys, "verify", option, "0") == (2, "", message)
+
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("keyword,what", [("n_max", "n_max"), ("a_max", "a_max"), ("brute_cap", "--brute-cap")])
+    def test_sweep_bounds_and_cap_are_exact_ints(self, monkeypatch, keyword, what, value):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran before its bounds were checked")
+
+        monkeypatch.setattr("chainsaw.verify._sweep_path_cycle", no_sweep)
+        with pytest.raises(NotAnInt, match=re.escape(f"{what} must be an int, got {value!r}")):
+            run_verification(**{keyword: value})
 
     def test_brute_cap_option_not_an_integer_exits_2(self, capsys):
         rc, out, err = usage_error(capsys, "verify", "--n-max", "2", "--a-max", "1", "--brute-cap", "abc")

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 
 import pytest
@@ -36,7 +37,7 @@ from chainsaw.counting import (
     sequence_text,
     stratified_closed_form,
 )
-from chainsaw.graphs import ChainsawParams, Graph, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
+from chainsaw.graphs import ChainsawParams, Graph, NotAnInt, make_broken_chainsaw, make_chainsaw, make_cycle, make_path
 from chainsaw.sequences import SequenceSpec, evaluate, lucas_U, lucas_V
 from helpers import random_graph, reference_count, reference_polynomial, reference_strata
 
@@ -369,8 +370,35 @@ class TestCliquePieces:
 
     def test_a_clique_piece_takes_no_memo_entry(self):
         # make_cycle(10) at max_states=1 still abandons: test_state_budget_abandons_rather_than_lying
-        assert count_via_elimination(_clique(40), max_states=1) == 41
-        assert independence_polynomial(_clique(40), max_states=1) == [1, 40]
+        for budget in (0, 1):
+            assert count_via_elimination(_clique(40), max_states=budget) == 41
+            assert independence_polynomial(_clique(40), max_states=budget) == [1, 40]
+
+
+def _no_work(*args):
+    raise AssertionError("an engine ran before its budget was checked")
+
+
+class TestBudgetsAreExactInts:
+    """A bool, a float or NaN budget is NotAnInt before any work.
+
+    ``max_states=nan`` once counted a 6 x 30 grid for over 30 s: no memo
+    size reaches NaN, and min(32, nan) is 32.
+    """
+
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("engine", [count_via_elimination, independence_polynomial])
+    def test_max_states(self, monkeypatch, engine, value):
+        monkeypatch.setattr(_kernels, "frontier_pass", _no_work)
+        with pytest.raises(NotAnInt, match=re.escape(f"max_states must be an int, got {value!r}")):
+            engine(make_path(3), max_states=value)
+
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("engine", [count_brute_force, brute_force_strata])
+    def test_cap(self, monkeypatch, engine, value):
+        monkeypatch.setattr(_kernels, "strata_by_chain_count", _no_work)
+        with pytest.raises(NotAnInt, match=re.escape(f"--brute-cap must be an int, got {value!r}")):
+            engine(make_path(1), cap=value)
 
 
 class TestFamilyProperties:

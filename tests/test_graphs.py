@@ -4,12 +4,14 @@ import copy
 import itertools
 import json
 import pickle
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsaw.counting import count_via_elimination
 from chainsaw.graphs import (
     BLADE,
     CHAIN,
@@ -26,7 +28,7 @@ from chainsaw.graphs import (
 )
 from chainsaw.sequences import SequenceSpec
 from chainsaw.verify import InjectedGraph
-from helpers import reference_broken_chainsaw
+from helpers import random_graph, reference_broken_chainsaw
 
 
 def expected_chainsaw_size(n: int, a: int, b: int) -> int:
@@ -355,7 +357,7 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize("u", [2, -1])
     def test_neighbor_out_of_range_rejected(self, u):
-        with pytest.raises(ValueError, match=f"^neighbor {u} of vertex 0 out of range$"):
+        with pytest.raises(ValueError, match=rf"^edge \(0, {u}\) out of range for order 2$"):
             Graph(order=2, adjacency=(frozenset({u}), frozenset()), loops=frozenset(), roles=(CHAIN, CHAIN))
 
     def test_looped_vertex_out_of_range_rejected(self):
@@ -398,6 +400,39 @@ class TestGraphValidation:
         assert g == direct and hash(g) == hash(direct)
         assert type(g.adjacency) is tuple and all(type(s) is frozenset for s in g.adjacency)
         assert type(g.loops) is frozenset and type(g.roles) is tuple
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_construction_route_gives_one_graph(self, seed):
+        g = random_graph(random.Random(3000 + seed), loop_prob=0.3)
+        lists = [[set(s) for s in g.adjacency], list(g.loops), list(g.roles)]
+        direct = Graph(g.order, *lists)
+        routes = [
+            Graph.build(g.order, g.edges(), g.loops, g.roles),
+            direct,
+            graph_from_json(export_graph(g, "json")),
+            copy.copy(g),
+            pickle.loads(pickle.dumps(g)),
+        ]
+        assert all(r == g and hash(r) == hash(g) for r in routes)
+        for r in routes:
+            assert type(r.adjacency) is tuple and all(type(s) is frozenset for s in r.adjacency)
+            assert type(r.loops) is frozenset and type(r.roles) is tuple
+        count = count_via_elimination(g)
+        for container in (*lists[0], *lists):
+            container.clear()
+        assert direct == g and count_via_elimination(direct) == count
+
+    def test_a_graph_built_from_lists_keeps_none_of_them(self):
+        # Graph(...) once stored these lists: it was unhashable, unequal to the built graph,
+        # and counted 4 instead of 3 once the caller cleared them
+        adjacency, loops, roles = [{1}, {0}], set(), [CHAIN, CHAIN]
+        g = Graph(2, adjacency, loops, roles)
+        built = Graph.build(2, [(0, 1)])
+        assert g == built and hash(g) == hash(built)
+        assert (type(g.adjacency), type(g.loops), type(g.roles)) == (tuple, frozenset, tuple)
+        for container in (*adjacency, adjacency, roles):
+            container.clear()
+        assert g == built and count_via_elimination(g) == 3
 
     def test_copies_and_pickles_of_a_built_graph_run_the_checks(self, monkeypatch):
         g = make_chainsaw(ChainsawParams(3, 2, 1))
@@ -474,7 +509,7 @@ class TestGraphValidation:
     @pytest.mark.parametrize("end", [True, 1.0])
     def test_direct_construction_rejects_a_neighbor_that_is_not_an_int(self, end):
         # 1 == True == 1.0, so the symmetric entry holds and only the type is wrong
-        with pytest.raises(NotAnInt, match=f"^neighbor of vertex 0 must be an int, got {end!r}$"):
+        with pytest.raises(NotAnInt, match=rf"^edge end must be an int, got \(0, {end!r}\)$"):
             Graph(order=2, adjacency=(frozenset({end}), frozenset({0})), loops=frozenset(), roles=(CHAIN,) * 2)
 
     @pytest.mark.parametrize(
