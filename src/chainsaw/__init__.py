@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .sequences import (
     SequenceSpec,
-    binom,
     dickson_D_sum,
     dickson_E_sum,
     evaluate,
@@ -54,7 +53,6 @@ __all__ = [
     "InjectedGraph",
     "OracleCapExceeded",
     "SequenceSpec",
-    "binom",
     "brute_force_strata",
     "closed_form_count",
     "closed_form_polynomial",

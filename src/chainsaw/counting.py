@@ -302,9 +302,12 @@ def _eliminate(g: Graph, one, add, shift, mul, max_states: int):
     state in graphs without cliques. The pending work lives on an explicit
     stack of tasks: a solve task for a connected mask, and a join task that
     consumes the values its components pushed. A `max_states` that is not
-    exactly an int, such as NaN, which no memo size reaches, is NotAnInt.
+    exactly an int, such as NaN, which no memo size reaches, is NotAnInt,
+    and a negative one, which no memo size is below, is a ValueError.
     """
     _check_int(max_states, "max_states")
+    if max_states < 0:
+        raise ValueError(f"max_states must be at least 0, got {max_states}")
     passed = _kernels.frontier_pass(g.adjacency, g.loops, one, add, lambda v: shift, min(_PASS_STATES, max_states))
     if passed is not None:
         return passed

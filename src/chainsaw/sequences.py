@@ -15,15 +15,15 @@ runs U or V up to 64 steps a block, by four products of the pair (W_m, W_{m+1}) 
 short U_k (``_by_recurrence``). The ``matrix`` method takes O(log n) doublings of the
 triple (U_k, V_k, q^k), which fixes the k-th power of the 2x2 companion matrix, and one
 product to finish. ``evaluate`` dispatches on ``_ROUTES``, keyed by ``METHODS``, and
-returns arbitrary-precision Python ints; parameters may be negative or zero. The command
-line prints a ``matrix`` value from the same doubling on exact Decimals
-(``counting.sequence_text``), computed in the base it is printed in, and ``poly`` runs
-it on the packed factors of ``counting._Packed``.
+returns arbitrary-precision Python ints; parameters may be negative or zero. ``lucas_U``,
+``lucas_V``, ``dickson_D_sum`` and ``dickson_E_sum`` are ``evaluate`` with a fixed kind
+and method, so they check and fail as it does. The command line prints a ``matrix``
+value from the same doubling on exact Decimals (``counting.sequence_text``), computed
+in the base it is printed in, and ``poly`` runs it on the packed factors of
+``counting._Packed``.
 """
 
 from __future__ import annotations
-
-import math
 
 from .graphs import _Frozen, _check_int
 
@@ -31,13 +31,6 @@ from .graphs import _Frozen, _check_int
 _LUCAS_VALUE = {"U": (False, 0), "V": (True, 0), "D": (True, 0), "E": (False, 1)}
 KINDS = tuple(_LUCAS_VALUE)
 _BLOCK_BITS, _BLOCK_STEPS = 120, 64  # bounds on the coefficients of a recurrence block
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient, exact, with the convention 0 outside 0 <= k <= n."""
-    if k < 0 or n < k:
-        return 0
-    return math.comb(n, k)
 
 
 def _by_recurrence(n: int, p: int, q: int, w0: int, w1: int) -> int:
@@ -60,19 +53,10 @@ def _by_recurrence(n: int, p: int, q: int, w0: int, w1: int) -> int:
     return w0
 
 
-def lucas_U(n: int, p: int, q: int) -> int:
-    """Lucas sequence of the first kind: U_0 = 0, U_1 = 1, by the recurrence in blocks of k steps."""
-    return _by_recurrence(n, p, q, 0, 1)
-
-
-def lucas_V(n: int, p: int, q: int) -> int:
-    """Lucas sequence of the second kind: V_0 = 2, V_1 = p, by the recurrence in blocks of k steps."""
-    return _by_recurrence(n, p, q, 2, p)
-
-
 def _recurrence(kind: str, n: int, p: int, q: int) -> int:
+    """The kind's U or V at its shifted index, from the seeds (0, 1) or (2, p), in blocks."""
     second, shift = _LUCAS_VALUE[kind]
-    return (lucas_V if second else lucas_U)(n + shift, p, q)
+    return _by_recurrence(n + shift, p, q, *((2, p) if second else (0, 1)))
 
 
 def _dickson_weights(kind: str, n: int, y: int):
@@ -114,16 +98,6 @@ def _dickson_sum(kind: str, n: int, x: int, y: int) -> int:
     for c in _dickson_weights(kind, n, y):
         total = total * x2 + c
     return total * x if n & 1 else total
-
-
-def dickson_D_sum(n: int, x: int, y: int) -> int:
-    """First-kind Dickson value by its defining summation; D_0 = 2 as the recurrence seed."""
-    return _dickson_sum("D", n, x, y)
-
-
-def dickson_E_sum(n: int, x: int, y: int) -> int:
-    """Second-kind Dickson value by its defining summation."""
-    return _dickson_sum("E", n, x, y)
 
 
 class SequenceSpec(_Frozen):
@@ -205,3 +179,23 @@ def evaluate(spec: SequenceSpec) -> int:
     """Evaluate a checked SequenceSpec by its method's route in ``_ROUTES``."""
     _check_spec(spec)
     return _ROUTES[spec.method](spec.kind, spec.n, spec.p, spec.q)
+
+
+def lucas_U(n: int, p: int, q: int) -> int:
+    """U_n(p, q) from U_0 = 0, U_1 = 1: ``evaluate`` of the U spec by ``recurrence``, with its errors."""
+    return evaluate(SequenceSpec("U", n, p, q, "recurrence"))
+
+
+def lucas_V(n: int, p: int, q: int) -> int:
+    """V_n(p, q) from V_0 = 2, V_1 = p: ``evaluate`` of the V spec by ``recurrence``, with its errors."""
+    return evaluate(SequenceSpec("V", n, p, q, "recurrence"))
+
+
+def dickson_D_sum(n: int, x: int, y: int) -> int:
+    """D_n(x, y), D_0 = 2: ``evaluate`` of the D spec by ``summation``; its errors name x and y as p and q."""
+    return evaluate(SequenceSpec("D", n, x, y, "summation"))
+
+
+def dickson_E_sum(n: int, x: int, y: int) -> int:
+    """E_n(x, y), E_0 = 1: ``evaluate`` of the E spec by ``summation``; its errors name x and y as p and q."""
+    return evaluate(SequenceSpec("E", n, x, y, "summation"))

@@ -9,6 +9,7 @@ its definition, by deleting a vertex.
 """
 
 import itertools
+import math
 
 from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_chainsaw
 
@@ -47,6 +48,11 @@ def reference_strata(g):
         t = len(chain.intersection(s))
         table[t] = table.get(t, 0) + 1
     return table
+
+
+def binom(n, k):
+    """C(n, k), and 0 outside 0 <= k <= n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def reference_recurrence(n, p, q, w0, w1):

@@ -32,8 +32,8 @@ from chainsaw.graphs import (
     make_cycle,
     make_path,
 )
-from chainsaw.sequences import SequenceSpec, binom, dickson_D_sum, dickson_E_sum, evaluate, lucas_U, lucas_V
-from helpers import random_graph
+from chainsaw.sequences import SequenceSpec, dickson_D_sum, dickson_E_sum, evaluate, lucas_U, lucas_V
+from helpers import binom, random_graph
 
 
 def announce(capsys, number, ok):

@@ -34,6 +34,7 @@ from chainsaw.counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
+    polynomial_text,
     sequence_text,
     stratified_closed_form,
 )
@@ -380,7 +381,7 @@ def _no_work(*args):
 
 
 class TestBudgetsAreExactInts:
-    """A bool, a float or NaN budget is NotAnInt before any work.
+    """A bool, a float or NaN budget is NotAnInt, and a negative `max_states` a ValueError, before any work.
 
     ``max_states=nan`` once counted a 6 x 30 grid for over 30 s: no memo
     size reaches NaN, and min(32, nan) is 32.
@@ -399,6 +400,15 @@ class TestBudgetsAreExactInts:
         monkeypatch.setattr(_kernels, "strata_by_chain_count", _no_work)
         with pytest.raises(NotAnInt, match=re.escape(f"--brute-cap must be an int, got {value!r}")):
             engine(make_path(1), cap=value)
+
+    @pytest.mark.parametrize("engine", [count_via_elimination, independence_polynomial])
+    def test_negative_max_states(self, monkeypatch, engine):
+        with pytest.raises(ComputationAbandoned, match="after 0 memo entries"):  # 0 is a budget, spent at once
+            engine(make_path(3), max_states=0)
+        # -1 was once reported as spent: "elimination abandoned after -1 memo entries"
+        monkeypatch.setattr(_kernels, "frontier_pass", _no_work)
+        with pytest.raises(ValueError, match=re.escape("max_states must be at least 0, got -1")):
+            engine(make_path(3), max_states=-1)
 
 
 class TestFamilyProperties:
@@ -456,6 +466,15 @@ class TestClosedFormPolynomial:
                     params = ChainsawParams(n, a, b)
                     want = independence_polynomial(family_graph(params, family))
                     assert closed_form_polynomial(params, family) == want, params
+
+    @pytest.mark.parametrize("family", ["chainsaw", "broken"])
+    def test_text_reads_the_slots_as_the_ints_print(self, family):
+        # a = 1 takes the strata route, a > 1 reads the packed slots, and P(0, a, b) is in the grid
+        for n in range(0 if family == "broken" else 1, 13):
+            for a in range(1, 6):
+                for b in range(1, a + 1):
+                    params = ChainsawParams(n, a, b)
+                    assert polynomial_text(params, family) == decimal_text(closed_form_polynomial(params, family))
 
     @pytest.mark.parametrize("w", [1, 3, 40])
     def test_packed_factors_multiply_by_their_value(self, w):

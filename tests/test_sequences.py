@@ -19,14 +19,13 @@ from chainsaw.sequences import (
     _by_matrix,
     _by_recurrence,
     _dickson_terms,
-    binom,
     dickson_D_sum,
     dickson_E_sum,
     evaluate,
     lucas_U,
     lucas_V,
 )
-from helpers import reference_recurrence
+from helpers import binom, reference_recurrence
 
 PQ_EXAMPLES = [(1, -1), (7, 9), (-2, 3), (0, -5)]
 
@@ -204,6 +203,30 @@ class TestEvaluate:
     def test_summation_applies_only_to_dickson_kinds(self, kind):
         with pytest.raises(ValueError, match="summation"):
             evaluate(SequenceSpec(kind, 3, 1, 1, "summation"))
+
+
+NAMED = [lucas_U, lucas_V, dickson_D_sum, dickson_E_sum]
+
+
+class TestNamedFunctionsAreEvaluate:
+    """Each named function is ``evaluate`` with a fixed kind and method, so it rejects what that rejects.
+
+    They once ran the engines unchecked: lucas_U(-5, 1, -1) gave 0 (U_{-5}(1, -1) = F_{-5} = 5),
+    lucas_U(True, 1, -1) gave 1 and dickson_D_sum(3, 2.5, 1) the float 8.125.
+    """
+
+    @pytest.mark.parametrize("fn", NAMED, ids=lambda fn: fn.__name__)
+    def test_negative_index(self, fn):
+        with pytest.raises(ValueError, match="^sequence index must be nonnegative, got -5$"):
+            fn(-5, 1, -1)
+
+    @pytest.mark.parametrize("field,value", [("n", True), ("n", 2.5), ("p", 2.5), ("q", 2.5)])
+    @pytest.mark.parametrize("fn", NAMED, ids=lambda fn: fn.__name__)
+    def test_an_argument_that_is_not_an_int(self, fn, field, value):
+        # a Dickson x and y are the spec's p and q, and the message names them so
+        args = {"n": 3, "p": 2, "q": 1, field: value}
+        with pytest.raises(NotAnInt, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+            fn(args["n"], args["p"], args["q"])
 
 
 def counted_ints():
