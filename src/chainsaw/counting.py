@@ -24,6 +24,10 @@ share the frontier pass, so no verify row compares those two:
   p and q enter as packed factors (``_Packed``) that multiply by digit
   shifts and one-word multiples, so only the doubling's own products are
   long: U_k V_k, V_k^2 and the square of q^k per level, one to finish.
+  From about 7,000 packed digits the levels run at the digit count h of
+  V_m(a, -b), m the half index, about half of w, and q^k is written from
+  its binomials instead of squared; U_m and V_m then move to width w as
+  text for the finish.
   ``polynomial_text`` prints the w-digit slots of the result as they
   stand. At a = 1 there are no blades, so the strata are the coefficients.
 
@@ -49,7 +53,17 @@ from itertools import repeat
 
 from . import _kernels
 from .graphs import ChainsawParams, Graph, _check_int, make_broken_chainsaw, make_chainsaw
-from .sequences import SequenceSpec, _by_matrix, _check_spec, _dickson_sum, _dickson_terms, evaluate
+from .sequences import (
+    _LUCAS_VALUE,
+    SequenceSpec,
+    _by_matrix,
+    _check_spec,
+    _dickson_sum,
+    _dickson_terms,
+    _finish,
+    _half_index,
+    evaluate,
+)
 
 DEFAULT_BRUTE_CAP = 26
 BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
@@ -459,13 +473,112 @@ class _Packed:
         return v * self.low + v * self.high
 
 
+class _PowerOfQ:
+    """q^k for q = -x (1 + (b-1) x) at x = 10^w, held as its exponent k until a sum needs its value.
+
+    ``sequences._half_index`` forms its power of q only as ``q * 1``, ``q^k * q^k``
+    and ``q * q^k``, which here add exponents, so no power is squared, and as
+    ``2 * q^k`` in V_{2k} = V_k^2 - 2 q^k, which writes the value (``_power_of_q``).
+    q itself (k = 1) multiplies U_k in ``_step`` as the packed factor does.
+    """
+
+    __slots__ = ("k", "b", "w")
+
+    def __init__(self, k: int, b: int, w: int) -> None:
+        self.k, self.b, self.w = k, b, w
+
+    def __mul__(self, v):
+        if isinstance(v, _PowerOfQ):
+            return _PowerOfQ(self.k + v.k, self.b, self.w)
+        if v == 1:  # the seed q * 1 stays a power
+            return self
+        if self.k == 1:
+            return _Packed(1, -1, 1 - self.b, self.w) * v
+        return _power_of_q(self.k, self.b, self.w) * v
+
+    def __rmul__(self, c: int) -> Decimal:
+        return _power_of_q(self.k, self.b, self.w) * c
+
+
+def _power_of_q(k: int, b: int, w: int) -> Decimal:
+    """q^k = (-x)^k (1 + (b-1) x)^k at x = 10^w, written from its coefficients C(k, j) (b-1)^j.
+
+    Each coefficient is carried to the next by (k-j)(b-1) / (j+1), an exact
+    division, and each is at most b^k, which must be below 10^w. Linear in
+    the length, where squaring q^(k/2) is a long product; at b = 1 the
+    value is one digit and an exponent.
+    """
+    sign = "-" if k & 1 else ""
+    if b == 1:
+        return Decimal(f"{sign}1E{k * w}")
+    with localcontext(_exact_context()):
+        c, words = Decimal(1), [f"E{k * w}"]  # the text is read from the end of the list
+        for j in range(k):
+            words.append(str(c).zfill(w))
+            c = c * ((k - j) * (b - 1)) // (j + 1)
+    words += (str(c), sign)
+    return Decimal("".join(reversed(words)))
+
+
+def _widened(digits: str, h: int, w: int) -> str:
+    """The text of a value packed at 10^h, every slot below 10^h, packed at 10^w instead, w >= h.
+
+    The slots are cut from the right and joined by w - h zeros, in one pass over the text.
+    """
+    slots = [digits[max(end - h, 0) : end] for end in range(len(digits), 0, -h)]
+    return ("0" * (w - h)).join(reversed(slots))
+
+
+# The packed length (index times w) from which the doubling runs at the half width.
+# Below it the second width costs more than it saves. Paired in-process medians of
+# polynomial_text, two widths against one (2 vCPUs, Python 3.11, two runs of 201-401
+# pairs): two widths took 52-90 us more a call on P(25,2,1) and C(25,3,2) (260-350
+# packed digits), 32-159 us more at 1,380-4,332, -16 to +108 us at 5,520-6,710, and
+# 42-204 us less at 7,560-8,436 and 164-834 us less at 9,920-13,231.
+_HALF_WIDTH_DIGITS = 7_000
+
+
+def _two_widths(kind: str, n: int, a: int, b: int, w: int) -> Decimal:
+    """The `kind` value at index n >= 2, at p = 1 + (a-1) x and q = -x (1 + (b-1) x), x = 10^w.
+
+    With N its U or V index, the doubling runs at 10^h up to the half index
+    m = floor(N/2), h the digit count of V_m(a, -b), and the one-product
+    finish at 10^w. That is exact for a value whose coefficients are below
+    10^w, as I(G; x)'s are, because for k <= m, U_k, V_k and (1 + (b-1) x)^k
+    have nonnegative coefficients, as p and -q do, and each coefficient is
+    at most the polynomial's value at x = 1: U_k(a, -b) <= V_k(a, -b), as
+    V_k = U_{k+1} + b U_{k-1} and U does not fall; b^k <= a^k <= V_k(a, -b),
+    the first term of its summation; and V_k(a, -b) <= V_m(a, -b) < 10^h, as
+    V grows with k at a >= 2. So U_m and V_m fill their h-digit slots as the
+    coefficients and move to width w as text (``_widened``), and every power
+    of q is written from its binomials (``_PowerOfQ``, ``_power_of_q``), each
+    below 10^h <= 10^w, as b^m is.
+    """
+    second, shift = _LUCAS_VALUE[kind]
+    n += shift
+    m = n >> 1
+    h = _decimal_lucas("V", m, Decimal(a), Decimal(-b)).adjusted() + 1
+    with localcontext(_exact_context()):
+        u, v, _ = _half_index(n, _Packed(0, 1, a - 1, h), _PowerOfQ(1, b, h))
+        u, v = (Decimal(_widened(str(t), h, w)) for t in (u, v))
+        qm = _power_of_q(m, b, w) if second or n & 1 else 0  # U_{2m} = U_m V_m needs no q^m
+        # u and v are read from text, so the value has exponent 0 and prints as digits
+        return _finish(second, n, _Packed(0, 1, a - 1, w), _Packed(1, -1, 1 - b, w), u, v, qm)
+
+
 def _packed_coefficients(params: ChainsawParams, family: str) -> list[str]:
-    """The coefficients' decimal texts, lowest degree first, cut from the value at 10^w (a >= 2)."""
+    """The coefficients' decimal texts, lowest degree first, cut from the value at 10^w (a >= 2).
+
+    A value of _HALF_WIDTH_DIGITS packed digits or more (index times w) is
+    doubled in two widths (``_two_widths``), a shorter one at 10^w.
+    """
     kind, shift = _family(params, family)
+    n, a, b = params.n + shift, params.a, params.b
     w = len(decimal_text(closed_form_count(params, family)))
-    p = _Packed(0, 1, params.a - 1, w)  # 1 + (a-1) x
-    q = _Packed(1, -1, 1 - params.b, w)  # -x (1 + (b-1) x)
-    digits = str(_decimal_lucas(kind, params.n + shift, p, q))
+    if n < 2 or n * w < _HALF_WIDTH_DIGITS:
+        digits = str(_decimal_lucas(kind, n, _Packed(0, 1, a - 1, w), _Packed(1, -1, 1 - b, w)))
+    else:
+        digits = str(_two_widths(kind, n, a, b, w))
     # i_t > 0 for every t up to the independence number, so no slot is all zeros
     return [digits[max(end - w, 0) : end].lstrip("0") for end in range(len(digits), 0, -w)]
 
@@ -481,9 +594,9 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
     ring homomorphism, so the doubling's negative intermediates do no harm.
     p and q enter as packed factors (``_Packed``), so the doubling
     multiplies by them with digit shifts and one-word multiples, never by a
-    long Decimal. The doubling's power q^k starts as ``q * 1``, the Decimal
-    of -x (1 + (b-1) x) with its factor x in the exponent, so squaring it
-    squares only (1 + (b-1) x)^k, which is free at b = 1.
+    long Decimal. A long value runs the levels below the half index at
+    about half the width, and its powers q^k = (-x)^k (1 + (b-1) x)^k are
+    written from their binomials, not squared (``_packed_coefficients``).
     ``polynomial_text`` prints the slots as they stand.
 
     At a = 1 (so b = 1) there are no blade vertices: every vertex is a chain
@@ -497,8 +610,8 @@ def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
 def polynomial_text(params: ChainsawParams, family: str) -> str:
     """``decimal_text(closed_form_polynomial(params, family))``, read from the decimal slots directly.
 
-    Skipping the slot -> int -> text round trip takes 11% off ``poly`` on
-    P(419,5,3) and 17-27% on P(2000,5,4) and C(3000,3,2) (2-vCPU machine).
+    Skipping the slot -> int -> text round trip takes 17% off P(419,5,3), 35%
+    off P(2000,5,4) and 53% off C(3000,3,2) (in-process medians, 2-vCPU machine).
     """
     if params.a == 1:
         return decimal_text(closed_form_polynomial(params, family))

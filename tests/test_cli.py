@@ -241,7 +241,8 @@ class TestPoly:
             expected = run_cli(capsys, "poly", "--family", plain, "--n", str(n))
             assert expected[0] == 0
             with monkeypatch.context() as patched:
-                patched.setattr("chainsaw.counting._by_matrix", refuse)
+                for doubling in ("_by_matrix", "_half_index", "_finish"):
+                    patched.setattr(f"chainsaw.counting.{doubling}", refuse)
                 unit = ("--n", str(n), "--a", "1", "--b", "1")
                 assert run_cli(capsys, "poly", "--family", row, *unit) == expected
                 assert run_cli(capsys, "poly", "--family", plain, "--n", str(n)) == expected
