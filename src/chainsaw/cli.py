@@ -4,8 +4,10 @@ Exit status contract: 0 success, 1 verification disagreement, 2 usage
 error, 3 resource cap (oracle cap exceeded, computation abandoned, out of
 memory, or a result of more than ``counting.MAX_DIGITS`` digits to print).
 Results go to stdout, byte-deterministic for identical invocations, and
-errors to stderr. Every integer printed goes through ``counting.decimal_text``,
-except a ``seq --method matrix`` value, which ``counting.sequence_text``
+errors to stderr. The oracle's cap is ``verify --brute-cap``, 26 by default;
+``count --method brute`` holds it at 26, checked before the graph is built.
+Every integer printed goes through ``counting.decimal_text``, except a
+``seq --method matrix`` value, which ``counting.sequence_text``
 computes on exact Decimals and prints by str, and the coefficients of a
 packed ``poly``, which ``counting.polynomial_text`` cuts from such a
 Decimal's digits; so no interpreter setting changes what prints. The
@@ -14,9 +16,10 @@ those of ``json.dumps(report, indent=2)``.
 
 ``main`` may be called any number of times in one process. It builds its
 parser with ``build_parser`` on the first call and parses every later
-``argv`` with that parser; a parse leaves no state behind, so each call
-behaves as in a fresh process. Option choices are read from their tables when the
-parser is built: ``--family``'s from ``_UNIT_ROWS`` and ``counting._ENCODING``.
+``argv`` with that parser; a parse leaves no state behind, so each call's
+output depends only on its own ``argv``, as in a fresh process. Option
+choices are read from their tables when the parser is built: ``--family``'s
+from ``_UNIT_ROWS`` and ``counting._ENCODING``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import sys
 
 from .counting import (
+    DEFAULT_BRUTE_CAP,
     ComputationAbandoned,
     OracleCapExceeded,
     _ENCODING,
@@ -67,7 +71,7 @@ def _cmd_count(args) -> int:
     if args.method == "closed-form":
         value = closed_form_count(params, family)
     elif args.method == "brute":
-        _check_cap(_family_order(params, family), None)  # before the graph is built
+        _check_cap(_family_order(params, family), DEFAULT_BRUTE_CAP)  # before the graph is built
         value = count_brute_force(family_graph(params, family))
     else:
         value = count_via_elimination(family_graph(params, family))
@@ -154,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run the identity sweep, emit a JSON report")
     verify.add_argument("--n-max", default=8, type=int)
     verify.add_argument("--a-max", default=4, type=int)
-    verify.add_argument("--brute-cap", type=int, help="default: the oracle's cap")
+    verify.add_argument("--brute-cap", default=DEFAULT_BRUTE_CAP, type=int, help="default: %(default)s")
     verify.add_argument("--inject-graph", help="path to a json graph export to cross-check")
     verify.add_argument("--inject-family", choices=tuple(_ENCODING))
     verify.add_argument("--inject-n", type=int)

@@ -6,8 +6,8 @@ share the frontier pass, so no verify row compares those two:
 
 * ``count_brute_force`` / ``brute_force_strata``: every independent set,
   counted by ``_kernels.strata_by_chain_count``, the frontier pass run with
-  no state limit. This is the oracle; it refuses graphs above a
-  configurable vertex cap, and the cap is its only limit.
+  no state limit. This is the oracle; it refuses graphs above its vertex
+  cap, an argument of 26 by default, and the cap is its only limit.
 * ``independence_polynomial`` / ``count_via_elimination``: the same pass
   with at most min(32, max_states) states a step, and for a graph past
   that, branching on a pivot with a memo and component splits
@@ -47,7 +47,6 @@ returns an int. ``polynomial_text`` prints a polynomial.
 from __future__ import annotations
 
 import operator
-import os
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from itertools import repeat
 
@@ -66,7 +65,6 @@ from .sequences import (
 )
 
 DEFAULT_BRUTE_CAP = 26
-BRUTE_CAP_ENV = "CHAINSAW_BRUTE_CAP"
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -146,43 +144,25 @@ def sequence_text(spec: SequenceSpec) -> str:
     return str(value)
 
 
-def resolve_brute_cap(cap: int | None) -> int:
-    """`cap` itself, or else the CHAINSAW_BRUTE_CAP environment variable, or else DEFAULT_BRUTE_CAP.
+def _check_cap(order: int, cap: int) -> None:
+    """OracleCapExceeded unless a graph of `order` vertices is within `cap`.
 
-    A cap below 1, or a variable that is not an integer, is a ValueError
-    naming where it came from; a given cap that is not exactly an int is NotAnInt.
+    A cap that is not exactly an int is NotAnInt, and one below 1 a ValueError.
     """
-    source = "--brute-cap"
-    if cap is None:
-        env = os.environ.get(BRUTE_CAP_ENV, "").strip()
-        if not env:
-            return DEFAULT_BRUTE_CAP
-        source = BRUTE_CAP_ENV
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}") from None
-    else:
-        _check_int(cap, source)
+    _check_int(cap, "--brute-cap")
     if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
-    return cap
+        raise ValueError(f"--brute-cap must be at least 1, got {cap}")
+    if order > cap:
+        raise OracleCapExceeded(f"oracle cap exceeded: graph has {order} vertices, cap is {cap}")
 
 
-def _check_cap(order: int, cap: int | None) -> None:
-    """OracleCapExceeded unless a graph of `order` vertices is within the resolved cap."""
-    limit = resolve_brute_cap(cap)
-    if order > limit:
-        raise OracleCapExceeded(f"oracle cap exceeded: graph has {order} vertices, cap is {limit}")
-
-
-def count_brute_force(g: Graph, *, cap: int | None = None) -> int:
+def count_brute_force(g: Graph, *, cap: int = DEFAULT_BRUTE_CAP) -> int:
     """i(G) from the definition, by the oracle kernel. The empty set always counts."""
     _check_cap(g.order, cap)
     return sum(_kernels.strata_by_chain_count(g.adjacency, g.loops, (), g.order))
 
 
-def brute_force_strata(g: Graph, *, cap: int | None = None) -> dict[int, int]:
+def brute_force_strata(g: Graph, *, cap: int = DEFAULT_BRUTE_CAP) -> dict[int, int]:
     """Independent sets keyed by how many chain-role vertices they contain."""
     _check_cap(g.order, cap)
     counts = _kernels.strata_by_chain_count(g.adjacency, g.loops, set(g.chain_vertices()), g.order)

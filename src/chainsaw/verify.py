@@ -40,13 +40,14 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .counting import (
+    DEFAULT_BRUTE_CAP,
+    _check_cap,
     brute_force_strata,
     closed_form_count,
     count_via_elimination,
     decimal_text,
     family_graph,
     independence_polynomial,
-    resolve_brute_cap,
     stratified_closed_form,
 )
 from .graphs import ChainsawParams, Graph, _check_int, _Frozen
@@ -153,20 +154,19 @@ def _sweep_path_cycle(report: _Report, n: int) -> None:
 def run_verification(
     n_max: int = 8,
     a_max: int = 4,
-    brute_cap: int | None = None,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
     inject: InjectedGraph | None = None,
 ) -> dict:
     """Run the full identity sweep; returns the report as a plain dict.
 
-    Strata rows cover the graphs the oracle admits: within its cap, resolved
-    as the oracle resolves it when `brute_cap` is None. A bound or cap that
-    is not exactly an int is NotAnInt.
+    Strata rows cover the graphs the oracle admits within `brute_cap`. A
+    bound or cap that is not exactly an int is NotAnInt.
     """
     _check_int(n_max, "n_max")
     _check_int(a_max, "a_max")
     if n_max < 1 or a_max < 1:
         raise ValueError(f"sweep bounds must be at least 1, got n_max={n_max}, a_max={a_max}")
-    brute_cap = resolve_brute_cap(brute_cap)
+    _check_cap(0, brute_cap)  # the cap alone: the empty graph is within any valid one
     # a declaration outside the family's domain, such as C(0, a, b), fails before the sweep
     declared = None if inject is None else closed_form_count(inject.params, inject.family)
     report = _Report()

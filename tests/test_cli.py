@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from chainsaw import _kernels, cli
 from chainsaw.cli import build_parser, main
 from chainsaw.counting import (
-    BRUTE_CAP_ENV,
     DEFAULT_BRUTE_CAP,
     _ENCODING,
     closed_form_polynomial,
@@ -105,18 +104,11 @@ class TestCount:
         assert out == ""
         assert "oracle cap exceeded" in err
 
-    def test_a_raised_cap_is_the_only_limit(self, capsys, monkeypatch):
-        # order 50 is past what a 48-bit mask kernel held; order 61 is refused before any kernel call
-        monkeypatch.setenv("CHAINSAW_BRUTE_CAP", "60")
-        rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", "50", "--method", "brute")
-        assert (rc, out, err) == (0, f"{lucas_U(52, 1, -1)}\n", "")
-
-        def no_kernel(*args):
-            raise AssertionError("the kernel ran above the cap")
-
-        monkeypatch.setattr("chainsaw._kernels.strata_by_chain_count", no_kernel)
-        rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", "61", "--method", "brute")
-        assert (rc, out, err) == (3, "", "error: oracle cap exceeded: graph has 61 vertices, cap is 60\n")
+    @pytest.mark.parametrize("env", ["5", "abc"])
+    def test_brute_cap_ignores_the_environment(self, capsys, monkeypatch, env):
+        # count holds the oracle at 26: no environment variable sets its cap
+        monkeypatch.setenv("CHAINSAW_BRUTE_CAP", env)
+        assert run_cli(capsys, "count", "--family", "path", "--n", "10", "--method", "brute") == (0, "144\n", "")
 
     @pytest.mark.parametrize(
         "family,order",
@@ -130,7 +122,6 @@ class TestCount:
         def no_graph(params, family):
             raise AssertionError("the graph was built")
 
-        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
         monkeypatch.setattr("chainsaw.cli.family_graph", no_graph)
         rc, out, err = run_cli(capsys, "count", *family, "--method", "brute")
         assert (rc, out, err) == (3, "", f"error: oracle cap exceeded: graph has {order} vertices, cap is 26\n")
@@ -422,8 +413,7 @@ class TestVerify:
         "cycle coefficients == C(n-t, t) + C(n-t-1, t-1)",
     )
 
-    def test_default_report_checks_each_identity_once(self, capsys, monkeypatch):
-        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+    def test_default_report_checks_each_identity_once(self, capsys):
         rc, out, _ = run_cli(capsys, "verify")
         assert rc == 0
         report = json.loads(out)
@@ -443,7 +433,7 @@ class TestVerify:
         for identity in self.PER_N_IDENTITIES:
             assert sorted(t for i, t in rows if i == identity) == [(n,) for n in range(1, 9)]
 
-    def test_brute_cap_is_the_oracle_cap(self, capsys, monkeypatch):
+    def test_brute_cap_is_the_oracle_cap(self, capsys):
         def strata_orders(*argv):
             rc, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--a-max", "4", *argv)
             assert rc == 0
@@ -455,11 +445,16 @@ class TestVerify:
             }
             return report["parameters"]["brute_cap"], max(orders)
 
-        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
         assert strata_orders() == (26, 15)
-        monkeypatch.setenv(BRUTE_CAP_ENV, "9")
-        assert strata_orders() == (9, 9)
         assert strata_orders("--brute-cap", "5") == (5, 5)
+
+    @pytest.mark.parametrize("env", ["5", "abc"])
+    def test_brute_cap_default_ignores_the_environment(self, capsys, monkeypatch, env):
+        # the cap is an argument: no environment variable sets its default
+        monkeypatch.setenv("CHAINSAW_BRUTE_CAP", env)
+        rc, out, err = run_cli(capsys, "verify", "--n-max", "2", "--a-max", "1")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["parameters"]["brute_cap"] == 26
 
     @pytest.mark.parametrize("n_max,a_max,cap", [(4, 3, 4), (4, 3, 10), (8, 4, 26), (13, 4, 51)])
     def test_strata_rows_cover_exactly_the_graphs_within_the_cap(self, capsys, monkeypatch, n_max, a_max, cap):
@@ -487,20 +482,6 @@ class TestVerify:
             assert rows == sorted(t for t in grid if orders[t] <= cap)
             assert max(orders.values()) > cap
 
-    @pytest.mark.parametrize(
-        "env,message",
-        [
-            ("-3", "CHAINSAW_BRUTE_CAP must be at least 1, got -3"),
-            ("0", "CHAINSAW_BRUTE_CAP must be at least 1, got 0"),
-            ("abc", "CHAINSAW_BRUTE_CAP must be an integer, got 'abc'"),
-        ],
-    )
-    @pytest.mark.parametrize("command", [["verify", "--n-max", "2", "--a-max", "1"],
-                                         ["count", "--family", "path", "--n", "3", "--method", "brute"]])
-    def test_bad_brute_cap_variable_exits_2(self, capsys, monkeypatch, env, message, command):
-        monkeypatch.setenv(BRUTE_CAP_ENV, env)
-        assert run_cli(capsys, *command) == (2, "", f"error: {message}\n")
-
     @pytest.mark.parametrize("cap", ["-3", "0"])
     def test_brute_cap_option_below_one_exits_2(self, capsys, cap):
         rc, out, err = run_cli(capsys, "verify", "--n-max", "2", "--a-max", "1", "--brute-cap", cap)
@@ -511,7 +492,7 @@ class TestVerify:
         message = f"error: sweep bounds must be at least 1, got {bounds}\n"
         assert run_cli(capsys, "verify", option, "0") == (2, "", message)
 
-    @pytest.mark.parametrize("value", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan, None], ids=repr)
     @pytest.mark.parametrize("keyword,what", [("n_max", "n_max"), ("a_max", "a_max"), ("brute_cap", "--brute-cap")])
     def test_sweep_bounds_and_cap_are_exact_ints(self, monkeypatch, keyword, what, value):
         def no_sweep(*args):
@@ -651,8 +632,7 @@ class TestReportBytes:
             (["--brute-cap", "1"], {"brute_cap": 1}),  # no strata rows
         ],
     )
-    def test_sweep_report(self, capsys, monkeypatch, argv, kwargs):
-        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
+    def test_sweep_report(self, capsys, argv, kwargs):
         rc, out, _ = run_cli(capsys, "verify", *argv)
         assert rc == 0
         assert out == json.dumps(run_verification(**kwargs), indent=2) + "\n"
@@ -775,7 +755,6 @@ class TestParserReuse:
     ]
 
     def test_reuse_matches_a_fresh_parser_per_call(self, capsys, monkeypatch):
-        monkeypatch.setenv(BRUTE_CAP_ENV, "20")  # C(9, 3, 2) has 27 vertices
         builds = []
 
         def counted():
@@ -793,7 +772,7 @@ class TestParserReuse:
         assert len(builds) == 1 + len(self.SEQUENCE)
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0]
-        assert reused[1][1:] == ("", "error: oracle cap exceeded: graph has 27 vertices, cap is 20\n")
+        assert reused[1][1:] == ("", "error: oracle cap exceeded: graph has 27 vertices, cap is 26\n")
         assert reused[4] == (0, "11\n", "")
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from chainsaw import _kernels, counting
 from chainsaw.counting import (
-    BRUTE_CAP_ENV,
     ComputationAbandoned,
     OracleCapExceeded,
     _ENCODING,
@@ -113,17 +112,12 @@ class TestBruteForce:
     def test_cap_argument_admits_exactly_at_the_limit(self):
         assert count_brute_force(make_path(6), cap=6) == 21
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv(BRUTE_CAP_ENV, "6")
-        assert count_brute_force(make_path(6)) == 21
-        with pytest.raises(OracleCapExceeded):
-            count_brute_force(make_path(7))
-
-    @pytest.mark.parametrize("env", ["-3", "0", "abc", "2.5"])
-    def test_a_bad_env_cap_is_a_value_error_naming_the_variable(self, monkeypatch, env):
-        monkeypatch.setenv(BRUTE_CAP_ENV, env)
-        with pytest.raises(ValueError, match=f"^{BRUTE_CAP_ENV} must be"):
-            count_brute_force(make_path(3))
+    @pytest.mark.parametrize("env", ["5", "abc"])
+    def test_the_default_cap_ignores_the_environment(self, monkeypatch, env):
+        # the cap is an argument: no environment variable sets its default
+        monkeypatch.setenv("CHAINSAW_BRUTE_CAP", env)
+        with pytest.raises(OracleCapExceeded, match="^oracle cap exceeded: graph has 27 vertices, cap is 26$"):
+            count_brute_force(make_path(27))
 
     @pytest.mark.parametrize("cap", [-3, 0])
     def test_a_cap_below_one_is_a_value_error(self, cap):
@@ -131,17 +125,17 @@ class TestBruteForce:
             brute_force_strata(make_path(3), cap=cap)
 
     def test_the_cap_is_the_only_limit(self, monkeypatch):
-        monkeypatch.delenv(BRUTE_CAP_ENV, raising=False)
         assert count_brute_force(make_path(50), cap=50) == lucas_U(52, 1, -1)
 
         def no_kernel(*args):
             raise AssertionError("the kernel ran above the cap")
 
         monkeypatch.setattr("chainsaw._kernels.strata_by_chain_count", no_kernel)
-        for engine, cap, order, limit in [(count_brute_force, None, 27, 26), (brute_force_strata, None, 27, 26),
-                                          (count_brute_force, 10, 11, 10), (brute_force_strata, 60, 61, 60)]:
+        for engine, kwargs, order, limit in [(count_brute_force, {}, 27, 26), (brute_force_strata, {}, 27, 26),
+                                             (count_brute_force, {"cap": 10}, 11, 10),
+                                             (brute_force_strata, {"cap": 60}, 61, 60)]:
             with pytest.raises(OracleCapExceeded, match=f"^oracle cap exceeded: graph has {order} vertices, cap is {limit}$"):
-                engine(make_path(order), cap=cap)
+                engine(make_path(order), **kwargs)
 
     def test_strata_honors_the_cap(self):
         with pytest.raises(OracleCapExceeded):
@@ -383,7 +377,7 @@ def _no_work(*args):
 
 
 class TestBudgetsAreExactInts:
-    """A bool, a float or NaN budget is NotAnInt, and a negative `max_states` a ValueError, before any work.
+    """A bool, a float, NaN or None budget is NotAnInt, and a negative `max_states` a ValueError, before any work.
 
     ``max_states=nan`` once counted a 6 x 30 grid for over 30 s: no memo
     size reaches NaN, and min(32, nan) is 32.
@@ -396,7 +390,7 @@ class TestBudgetsAreExactInts:
         with pytest.raises(NotAnInt, match=re.escape(f"max_states must be an int, got {value!r}")):
             engine(make_path(3), max_states=value)
 
-    @pytest.mark.parametrize("value", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan, None], ids=repr)
     @pytest.mark.parametrize("engine", [count_brute_force, brute_force_strata])
     def test_cap(self, monkeypatch, engine, value):
         monkeypatch.setattr(_kernels, "strata_by_chain_count", _no_work)
