@@ -113,11 +113,12 @@ class TestBruteForce:
         assert count_brute_force(make_path(6), cap=6) == 21
 
     @pytest.mark.parametrize("env", ["5", "abc"])
-    def test_the_default_cap_ignores_the_environment(self, monkeypatch, env):
+    @pytest.mark.parametrize("engine", [count_brute_force, brute_force_strata])
+    def test_the_default_cap_ignores_the_environment(self, monkeypatch, engine, env):
         # the cap is an argument: no environment variable sets its default
         monkeypatch.setenv("CHAINSAW_BRUTE_CAP", env)
         with pytest.raises(OracleCapExceeded, match="^oracle cap exceeded: graph has 27 vertices, cap is 26$"):
-            count_brute_force(make_path(27))
+            engine(make_path(27))
 
     @pytest.mark.parametrize("cap", [-3, 0])
     def test_a_cap_below_one_is_a_value_error(self, cap):
