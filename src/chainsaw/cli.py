@@ -17,7 +17,12 @@ those of ``json.dumps(report, indent=2)``.
 ``main`` may be called any number of times in one process. It builds its
 parser with ``build_parser`` on the first call and parses every later
 ``argv`` with that parser; a parse leaves no state behind, so each call's
-output depends only on its own ``argv``, as in a fresh process. Option
+output depends only on its own ``argv``, as in a fresh process. A command
+request gets one argparse pass: when ``argv[0]`` names a command, that
+command's parser reads the rest, and what it leaves over is the top-level
+parser's "unrecognized arguments" error, so the messages and exit codes
+are those of parsing the whole ``argv`` at the top level. The top-level
+parser runs only for help, a missing command or an unknown one. Option
 choices are read from their tables when the parser is built: ``--family``'s
 from ``_UNIT_ROWS`` and ``counting._ENCODING``.
 """
@@ -166,6 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--inject-b", type=int)
     verify.set_defaults(handler=_cmd_verify)
 
+    parser._commands = commands.choices  # each command's parser by name, for main's one-pass dispatch
     return parser
 
 
@@ -177,7 +183,14 @@ def main(argv=None) -> int:
     try:
         if _parser is None:
             _parser = build_parser()
-        args = _parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = _parser._commands.get(argv[0]) if argv else None
+        if command is None:  # help, no command or an unknown one: the top-level parse and its messages
+            args = _parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                _parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.handler(args)
     except (OracleCapExceeded, ComputationAbandoned) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ C(n, 1, 1).
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, repeat
+from typing import Iterable, Iterator
 
 CHAIN = "chain"
 BLADE = "blade"
@@ -198,23 +198,29 @@ def make_cycle(n: int) -> Graph:
     return make_chainsaw(ChainsawParams(n, 1, 1))
 
 
+def _saw_edges(n: int, a: int, b: int, broken: bool) -> Iterator[tuple[int, int]]:
+    """The edges of C(n, a, b), or P(n, a, b) when `broken`: chain, blade cliques, wiring, one at a time."""
+    blades = n + broken
+    # Graph.build reads the cycle's (0, 0) at n = 1 as the loop and its (1, 0) at n = 2 as (0, 1)
+    for v in range(n - broken):
+        yield v, (v + 1) % n
+    for j in range(blades):
+        start = n + j * (a - 1)
+        owner = [j - broken] if j >= broken else []
+        yield from combinations(owner + list(range(start, start + a - 1)), 2)
+    for v in range(n):
+        start = n + (v + broken + 1) % blades * (a - 1)
+        yield from zip(repeat(v), range(start, start + a - b))
+
+
 def _saw(params: ChainsawParams, broken: bool) -> Graph:
-    """C(n, a, b), or P(n, a, b) when `broken`, in the canonical numbering, in one pass."""
+    """C(n, a, b), or P(n, a, b) when `broken`, in the canonical numbering, in one pass with no edge list."""
     n, a, b = params.n, params.a, params.b
     blades = n + broken
     if blades < 1:
         raise ValueError(f"the chainsaw C(n, a, b) requires n >= 1, got n={n}")
-    # Graph.build reads the cycle's (0, 0) at n = 1 as the loop and its (1, 0) at n = 2 as (0, 1)
-    edges = [(v, (v + 1) % n) for v in range(n - broken)]
-    for j in range(blades):
-        start = n + j * (a - 1)
-        owner = [j - broken] if j >= broken else []
-        edges.extend(combinations(owner + list(range(start, start + a - 1)), 2))
-    for v in range(n):
-        start = n + (v + broken + 1) % blades * (a - 1)
-        edges.extend((v, w) for w in range(start, start + a - b))
     roles = (CHAIN,) * n + (BLADE,) * (blades * (a - 1))
-    return Graph.build(n + blades * (a - 1), edges, (), roles)
+    return Graph.build(n + blades * (a - 1), _saw_edges(n, a, b, broken), (), roles)
 
 
 def make_chainsaw(params: ChainsawParams) -> Graph:
@@ -280,5 +286,5 @@ def graph_from_json(text: str) -> Graph:
             if type(value) is not list:
                 raise TypeError(f"{name} must be a list, got {value!r}")
         return Graph.build(order, [_pair(e) for e in edges], loops, roles)
-    except (KeyError, TypeError, RecursionError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed graph json: {exc}") from exc

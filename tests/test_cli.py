@@ -18,6 +18,8 @@ from chainsaw.cli import build_parser, main
 from chainsaw.counting import (
     DEFAULT_BRUTE_CAP,
     _ENCODING,
+    ComputationAbandoned,
+    OracleCapExceeded,
     closed_form_polynomial,
     decimal_text,
     family_graph,
@@ -597,6 +599,17 @@ class TestVerify:
         assert rc == 2
         assert "malformed" in err
 
+    def test_empty_injection_file_is_malformed_graph_json(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("")
+        rc, out, err = run_cli(
+            capsys, "verify", "--n-max", "1", "--a-max", "1",
+            "--inject-graph", str(path), "--inject-family", "chainsaw",
+            "--inject-n", "4", "--inject-a", "2", "--inject-b", "1",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: malformed graph json: Expecting value: line 1 column 1 (char 0)\n"
+
     def test_deeply_nested_injection_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
@@ -715,7 +728,7 @@ class TestChoiceLists:
 
     @staticmethod
     def choices(command, option):
-        commands = build_parser()._subparsers._group_actions[0].choices
+        commands = build_parser()._commands
         return next(a.choices for a in commands[command]._actions if option in a.option_strings)
 
     def test_seq_kinds_are_the_sequence_kinds(self):
@@ -774,6 +787,89 @@ class TestParserReuse:
         assert [code for code, _, _ in reused] == [2, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0]
         assert reused[1][1:] == ("", "error: oracle cap exceeded: graph has 27 vertices, cap is 26\n")
         assert reused[4] == (0, "11\n", "")
+
+
+def top_level_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of argv parsed whole by the top-level parser, with main's exception mapping."""
+    try:
+        args = build_parser().parse_args(list(argv))
+        code = args.handler(args)
+    except SystemExit as exc:
+        code = exc.code
+    except (OracleCapExceeded, ComputationAbandoned) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        code = 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def argv_id(argv):
+    return " ".join(argv) or "no arguments"
+
+
+FAMILY = ["--family", "broken", "--n", "3", "--a", "3", "--b", "2"]
+
+
+class TestDispatch:
+    """main parses a command's arguments with that command's parser alone, as the top-level parse would."""
+
+    COMMANDS = [
+        ["generate", *FAMILY, "--format", "json"],
+        ["count", *FAMILY],
+        ["count", "--family", "chainsaw", "--n", "9", "--a", "3", "--b", "2", "--method", "brute"],  # exit 3
+        ["poly", *FAMILY],
+        ["seq", "--kind", "V", "--n", "7", "--p", "1", "--q=-2", "--method", "matrix"],
+        ["verify", "--n-max", "2", "--a-max", "2"],
+        ["count", "-h"],
+        ["seq", "--kind", "U", "--n", "-4", "--p", "1", "--q", "1"],  # exit 2 from the engine
+        ["count", "--n", "3"],  # a missing required option
+        ["count", "--family", "star", "--n", "3"],  # a bad choice
+        ["count", "--family", "path", "--n", "three"],
+        ["count", "--family", "path", "--n", "3", "--bogus"],  # left over: the top-level parser's message
+        ["count", "--family", "path", "--n", "3", "stray", "--bogus=1"],
+        ["count", "--fam", "path", "--n", "3"],  # an abbreviated long option
+        ["count", "--family", "path", "--n", "3", "--"],
+        ["count"],
+    ]
+    TOP_LEVEL = [[], ["-h"], ["--help"], ["bogus", "--n", "3"], ["--n", "3", "count"]]
+
+    @pytest.mark.parametrize("argv", COMMANDS + TOP_LEVEL, ids=argv_id)
+    def test_outcome_is_the_top_level_parse(self, capsys, argv):
+        assert outcome(capsys, argv) == top_level_outcome(capsys, argv)
+
+    def test_leftovers_get_the_top_level_usage(self, capsys):
+        code, out, err = outcome(capsys, ["count", "--family", "path", "--n", "3", "--bogus", "x"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: chainsaw [-h]")
+        assert err.endswith("\nchainsaw: error: unrecognized arguments: --bogus x\n")
+
+    def test_a_command_never_reaches_the_top_level_parse(self, capsys, monkeypatch):
+        parser = build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command argv reached the top-level parse")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        monkeypatch.setattr(cli, "_parser", parser)
+        for argv in self.COMMANDS:
+            assert outcome(capsys, argv) == top_level_outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [["count", "--family", "cycle", "--n", "5"], [], ["--help"]], ids=argv_id)
+    def test_no_argument_reads_sys_argv(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["chainsaw", *argv])
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == top_level_outcome(capsys, argv)
 
 
 class TestBench:

@@ -581,10 +581,12 @@ class TestExport:
             pytest.param('{"order": 2, "edges": [[0, 1]], "loops": [], "roles": null}', id="roles-null"),
             pytest.param('{"order": 2, "edges": "", "loops": [], "roles": ["chain", "chain"]}', id="edges-a-string"),
             pytest.param('{"order": 2, "edges": [], "loops": {}, "roles": ["chain", "chain"]}', id="loops-an-object"),
+            pytest.param("", id="empty"),
+            pytest.param('{"order": 2,}', id="json-syntax-error"),
         ],
     )
     def test_malformed_json_is_a_value_error(self, text):
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="^malformed graph json: "):
             graph_from_json(text)
 
     @settings(max_examples=60, deadline=None)
