@@ -7,10 +7,12 @@ Results go to stdout, byte-deterministic for identical invocations, and
 errors to stderr. The oracle's cap is ``verify --brute-cap``, 26 by default;
 ``count --method brute`` holds it at 26, checked before the graph is built.
 Every integer printed goes through ``counting.decimal_text``, except a
-``seq --method matrix`` value, which ``counting.sequence_text``
-computes on exact Decimals and prints by str, and the coefficients of a
-packed ``poly``, which ``counting.polynomial_text`` cuts from such a
-Decimal's digits; so no interpreter setting changes what prints. The
+``seq --method matrix`` value and a ``count --method closed-form`` count,
+V_n(a, -b) or U_{n+2}(a, -b), which ``counting.sequence_text`` computes
+on exact Decimals and prints by str, and the coefficients of a packed
+``poly``, which ``counting.polynomial_text`` cuts from such a Decimal's
+digits; so no interpreter setting changes what prints. The closed-form
+count runs no Dickson summation (``counting.closed_form_count``). The
 ``verify`` report prints through ``verify.report_text``, whose bytes are
 those of ``json.dumps(report, indent=2)``.
 
@@ -38,8 +40,8 @@ from .counting import (
     OracleCapExceeded,
     _ENCODING,
     _check_cap,
+    _family,
     _family_order,
-    closed_form_count,
     count_brute_force,
     count_via_elimination,
     decimal_text,
@@ -73,9 +75,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_count(args) -> int:
     params, family = _family_params(args)
-    if args.method == "closed-form":
-        value = closed_form_count(params, family)
-    elif args.method == "brute":
+    if args.method == "closed-form":  # D_n(a, -b) or E_{n+1}(a, -b) as `seq --method matrix` prints it
+        kind, shift = _family(params, family)
+        print(sequence_text(SequenceSpec(kind, params.n + shift, params.a, -params.b, "matrix")))
+        return 0
+    if args.method == "brute":
         _check_cap(_family_order(params, family), DEFAULT_BRUTE_CAP)  # before the graph is built
         value = count_brute_force(family_graph(params, family))
     else:

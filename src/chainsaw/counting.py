@@ -16,7 +16,9 @@ share the frontier pass, so no verify row compares those two:
 * ``stratified_closed_form`` / ``closed_form_count``: chainsaw-family
   closed forms, one entry per number of chain vertices used: the summands
   of D_n(a, -b) and E_{n+1}(a, -b), from the Dickson summations' weights.
-  The count adds them in Horner form, so its memory is linear.
+  The count adds them in Horner form, so its memory is linear and its time
+  quadratic. ``count --method closed-form`` does not use it: it prints the
+  same V_n(a, -b) or U_{n+2}(a, -b) by ``sequence_text``'s doubling.
 * ``closed_form_polynomial``: the chainsaw-family independence polynomial
   as a Lucas value, I(C(n,a,b); x) = V_n(p, q) and I(P(n,a,b); x) =
   U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'

@@ -20,6 +20,7 @@ from chainsaw.counting import (
     _ENCODING,
     ComputationAbandoned,
     OracleCapExceeded,
+    closed_form_count,
     closed_form_polynomial,
     decimal_text,
     family_graph,
@@ -167,6 +168,52 @@ class TestCount:
         rc, out, err = run_cli(capsys, *command, *family, "--n", "0")
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and "n=0" in err and err.count("\n") == 1
+
+    UNIT_ROWS = {"path": "broken", "cycle": "chainsaw"}  # the table rows path and cycle count by
+
+    def summation_outcome(self, family, n, a=None, b=None):
+        """(exit, stdout, stderr) of printing the Dickson summation, with main's mapping of its errors."""
+        table, a, b = (self.UNIT_ROWS[family], 1, 1) if family in self.UNIT_ROWS else (family, a, b)
+        try:
+            return 0, f"{decimal_text(closed_form_count(ChainsawParams(n, a, b), table))}\n", ""
+        except ValueError as exc:
+            return 2, "", f"error: {exc}\n"
+
+    @pytest.mark.parametrize("family", ["path", "cycle", "chainsaw", "broken"])
+    def test_closed_form_prints_the_summation(self, capsys, family):
+        # n = -1 and chainsaw's n = 0 are refused, by the same message as the summation's
+        blades = [()] if family in self.UNIT_ROWS else [(1, 1), (2, 1), (3, 2), (4, 4), (7, 3)]
+        for n in range(-1, 41):
+            for ab in blades:
+                argv = ["count", "--family", family, f"--n={n}", *(f"--{k}={v}" for k, v in zip("ab", ab))]
+                got = run_cli(capsys, *argv, "--method", "closed-form")
+                assert got == self.summation_outcome(family, n, *ab), argv
+
+    @pytest.mark.parametrize(
+        "family", [["chainsaw", "--a", "3", "--b", "2"], ["broken", "--a", "4", "--b", "2"], ["cycle"]]
+    )
+    def test_closed_form_past_the_print_budget_exits_3(self, capsys, monkeypatch, family):
+        argv = ("count", "--family", family[0], "--n", "3000", *family[1:], "--method", "closed-form")
+        rc, out, _ = run_cli(capsys, *argv)
+        digits = len(out) - 1
+        assert rc == 0 and digits > 600
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", digits)  # exactly the budget still prints
+        assert run_cli(capsys, *argv) == (0, out, "")
+        monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", digits - 1)
+        assert run_cli(capsys, *argv) == (3, "", f"error: result has more than {digits - 1} digits to print\n")
+        with pytest.raises(ComputationAbandoned):  # where the summation's text was refused too
+            decimal_text(int(out))
+
+    def test_closed_form_never_runs_the_summation(self, capsys, monkeypatch):
+        def summation(*args):
+            raise AssertionError("the Dickson summation ran")
+
+        monkeypatch.setattr("chainsaw.sequences._dickson_sum", summation)
+        monkeypatch.setattr("chainsaw.sequences._dickson_weights", summation)
+        monkeypatch.setattr("chainsaw.counting._dickson_sum", summation)
+        for family, want in (("chainsaw", lucas_V(5000, 3, -2)), ("broken", lucas_U(5002, 3, -2))):
+            argv = ("count", "--family", family, "--n", "5000", "--a", "3", "--b", "2", "--method", "closed-form")
+            assert run_cli(capsys, *argv) == (0, f"{decimal_text(want)}\n", "")
 
     def test_missing_blade_options_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "count", "--family", "chainsaw", "--n", "3")

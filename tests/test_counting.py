@@ -696,9 +696,10 @@ class TestClosedForms:
                     assert closed_form_count(ChainsawParams(n, a, b), family) == lucas
 
     def test_count_is_the_strata_sum_at_large_n(self):
-        # the Horner sum and the listed strata share their weights; doubling is the independent side
+        # the Horner sum and the listed strata share their weights; doubling is the independent side.
+        # The CLI prints the doubling, so n = 20000 is the summation's one check at that size
         for family, kind, shift in (("chainsaw", "V", 0), ("broken", "U", 2)):
-            for n, a, b in ((2000, 3, 2), (1999, 4, 1), (2001, 5, 5)):
+            for n, a, b in ((2000, 3, 2), (1999, 4, 1), (2001, 5, 5), (20000, 3, 2)):
                 params = ChainsawParams(n, a, b)
                 count = closed_form_count(params, family)
                 assert count == sum(stratified_closed_form(params, family).values())
