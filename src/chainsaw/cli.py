@@ -9,12 +9,15 @@ errors to stderr. The oracle's cap is ``verify --brute-cap``, 26 by default;
 Every integer printed goes through ``counting.decimal_text``, except a
 ``seq --method matrix`` value and a ``count --method closed-form`` count,
 V_n(a, -b) or U_{n+2}(a, -b), which ``counting.sequence_text`` computes
-on exact Decimals and prints by str, and the coefficients of a packed
-``poly``, which ``counting.polynomial_text`` cuts from such a Decimal's
-digits; so no interpreter setting changes what prints. The closed-form
-count runs no Dickson summation (``counting.closed_form_count``). The
-``verify`` report prints through ``verify.report_text``, whose bytes are
-those of ``json.dumps(report, indent=2)``.
+on exact Decimals and prints by str; so no interpreter setting changes
+what prints. The closed-form count runs no Dickson summation
+(``counting.closed_form_count``). ``poly`` runs neither that nor the
+doubling: at a >= 2 its coefficients come from the linear recurrence
+that the differential system of V_N(p, q) and U_N(p, q) gives
+(``counting._lucas_coefficients``), and each prints through
+``decimal_text``. The ``verify`` report prints through
+``verify.report_text``, whose bytes are those of
+``json.dumps(report, indent=2)``.
 
 ``main`` may be called any number of times in one process. It builds its
 parser with ``build_parser`` on the first call and parses every later
@@ -40,13 +43,14 @@ from .counting import (
     OracleCapExceeded,
     _ENCODING,
     _check_cap,
+    _check_n,
     _family,
     _family_order,
+    closed_form_polynomial,
     count_brute_force,
     count_via_elimination,
     decimal_text,
     family_graph,
-    polynomial_text,
     sequence_text,
 )
 from .graphs import ChainsawParams, EXPORT_FORMATS, export_graph, graph_from_json
@@ -58,11 +62,16 @@ _UNIT_ROWS = {"path": "broken", "cycle": "chainsaw"}  # the a = b = 1 rows of th
 
 
 def _family_params(args) -> tuple[ChainsawParams, str]:
-    """Checked (params, table family): path and cycle, which take no --a/--b, are P and C at (n, 1, 1)."""
+    """Checked (params, table family): path and cycle, which take no --a/--b, are P and C at (n, 1, 1).
+
+    Their n is checked here, so an error names the family typed, not its row or the unit blades.
+    """
     if args.family in _UNIT_ROWS:
         if args.a is not None or args.b is not None:
             raise ValueError("--a and --b apply only to the chainsaw and broken families")
-        return ChainsawParams(args.n, 1, 1), _UNIT_ROWS[args.family]
+        row = _UNIT_ROWS[args.family]
+        _check_n(args.family, args.n, _ENCODING[row][1])
+        return ChainsawParams(args.n, 1, 1), row
     if args.a is None or args.b is None:
         raise ValueError(f"family {args.family!r} requires --a and --b")
     return ChainsawParams(args.n, args.a, args.b), args.family
@@ -89,7 +98,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    print(polynomial_text(*_family_params(args)))
+    print(decimal_text(closed_form_polynomial(*_family_params(args))))
     return 0
 
 

@@ -21,17 +21,11 @@ share the frontier pass, so no verify row compares those two:
   same V_n(a, -b) or U_{n+2}(a, -b) by ``sequence_text``'s doubling.
 * ``closed_form_polynomial``: the chainsaw-family independence polynomial
   as a Lucas value, I(C(n,a,b); x) = V_n(p, q) and I(P(n,a,b); x) =
-  U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x), by the sequences'
-  index doubling at the packed point x = 10^w (Kronecker substitution).
-  p and q enter as packed factors (``_Packed``) that multiply by digit
-  shifts and one-word multiples, so only the doubling's own products are
-  long: U_k V_k, V_k^2 and the square of q^k per level, one to finish.
-  From about 7,000 packed digits the levels run at the digit count h of
-  V_m(a, -b), m the half index, about half of w, and q^k is written from
-  its binomials instead of squared; U_m and V_m then move to width w as
-  text for the finish.
-  ``polynomial_text`` prints the w-digit slots of the result as they
-  stand. At a = 1 there are no blades, so the strata are the coefficients.
+  U_{n+2}(p, q) with p = 1+(a-1)x, q = -x(1+(b-1)x). V and U satisfy a
+  first-order differential system in x, so their coefficients follow a
+  linear recurrence (``_lucas_coefficients``): products by small ints and
+  two exact divisions per coefficient, linear in the digits printed. At
+  a = 1 there are no blades, so the strata are the coefficients.
 
 Each family's Dickson kind and index shift (chainsaw D_n = V_n, broken E_{n+1} =
 U_{n+2}) is one row of ``_ENCODING``; the shift picks its graph, P(n, a, b) or
@@ -42,8 +36,7 @@ Every count is an exact Python int; nothing here touches floats or
 fixed-width arithmetic. ``decimal_text`` turns counts into the decimal text
 the command line prints. ``sequence_text`` prints a sequence value; a
 ``matrix`` one is computed in base 10, by the Decimal doubling
-``closed_form_polynomial`` uses (``_decimal_lucas``). ``evaluate`` still
-returns an int. ``polynomial_text`` prints a polynomial.
+``_decimal_lucas``. ``evaluate`` still returns an int.
 """
 
 from __future__ import annotations
@@ -61,8 +54,6 @@ from .sequences import (
     _check_spec,
     _dickson_sum,
     _dickson_terms,
-    _finish,
-    _half_index,
     evaluate,
 )
 
@@ -383,14 +374,19 @@ def count_via_elimination(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> 
     return _eliminate(g, 1, operator.add, _kernels.same, operator.mul, max_states)
 
 
+def _check_n(family: str, n: int, shift: int) -> None:
+    """ValueError, naming `family`, unless n >= 1 - shift: the domain of a row with that index shift."""
+    if n + shift < 1:
+        raise ValueError(f"family {family!r} requires n >= {1 - shift}, got n={n}")
+
+
 def _family(params: ChainsawParams, family: str) -> tuple[str, int]:
     """The family's row of ``_ENCODING``, once `params` is known to be in its domain."""
     try:
         kind, shift = _ENCODING[family]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_ENCODING)}") from None
-    if params.n + shift < 1:
-        raise ValueError(f"family {family!r} requires n >= {1 - shift}, got n={params.n}")
+    _check_n(family, params.n, shift)
     return kind, shift
 
 
@@ -424,180 +420,66 @@ def closed_form_count(params: ChainsawParams, family: str) -> int:
 def _decimal_lucas(kind: str, n: int, p, q) -> Decimal:
     """The `kind` value at index n, at (p, q), as an exact Decimal, by ``sequences._by_matrix``.
 
-    p and q are exact Decimals or packed factors (``_Packed``). Every
-    operation runs in the exact context, where the doubling's halvings by //
-    are exact integer divisions; outside it one addition rounds a long value
-    to the default 28 digits. The closing + Decimal(0) makes an int value
-    (index below 2) a Decimal, sets the exponent to 0 (a packed product can
-    leave it positive, which str prints as 1E+5), and turns the -0 a product
-    with a zero factor can leave (V_3(0, 1)) into 0.
+    p and q are exact integral Decimals. Every operation runs in the exact
+    context, where the doubling's halvings by // are exact integer
+    divisions; outside it one addition rounds a long value to the default
+    28 digits. The closing + Decimal(0) makes an int value (index below 2)
+    a Decimal and turns the -0 a product with a zero factor can leave
+    (V_3(0, 1)) into 0.
     """
     with localcontext(_exact_context()):
         return _by_matrix(kind, n, p, q) + Decimal(0)
 
 
-class _Packed:
-    """The factor x^s (c + d x), c and d small ints, at the packed point x = 10^w.
+def _lucas_coefficients(second: bool, n: int, a: int, b: int) -> list[int]:
+    """V_n(p, q)'s coefficients, or U_n(p, q)'s if not `second`, n >= 1, at p = 1 + c x and q = -x (1 + d x).
 
-    Its two terms are kept as the Decimals c * 10^(s w) and d * 10^((s+1) w):
-    one digit word and an exponent each. So ``self * v`` is two one-word
-    multiples of v, shifted by digits, and a sum: linear in the length of v,
-    where a product with the long Decimal value of the factor would not be.
-    The terms are built from text, which is exact in any context.
+    Here c = a - 1 and d = b - 1. With alpha and beta the roots of
+    z^2 - p z + q, differentiating alpha^n and beta^n gives
+    2 q V' = n q' V + n W U and 2 q D U' = (n q' D - q D') U + n W V, where
+    W = 2 q p' - p q' = 1 + e x, e = 2d - c, and D = p^2 - 4q = 1 + d1 x + d2 x^2.
+    At x^k the two equations are (n - 2k) v_k - n u_k = -r1 and
+    (n - 2k) u_k - n v_k = -r2, with r1 and r2 sums of earlier coefficients
+    times small ints: f2..f4 are the x^2..x^4 coefficients of 2 q D, and
+    g1..g3 the x..x^3 coefficients of n q' D - q D'. The determinant
+    4k(k - n) is not 0 for 0 < k < n, so v_k and u_k are two exact divisions
+    from v_0 = u_0 = 1. U has degree n - 1, and v_n is the first equation
+    at k = n, where u_n = 0. No product is long, so the work is linear in
+    the digits of the result.
     """
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, s: int, c: int, d: int, w: int) -> None:
-        self.low, self.high = Decimal(f"{c}E{s * w}"), Decimal(f"{d}E{(s + 1) * w}")
-
-    def __mul__(self, v):
-        return v * self.low + v * self.high
-
-
-class _PowerOfQ:
-    """q^k for q = -x (1 + (b-1) x) at x = 10^w, held as its exponent k until a sum needs its value.
-
-    ``sequences._half_index`` forms its power of q only as ``q * 1``, ``q^k * q^k``
-    and ``q * q^k``, which here add exponents, so no power is squared, and as
-    ``2 * q^k`` in V_{2k} = V_k^2 - 2 q^k, which writes the value (``_power_of_q``).
-    q itself (k = 1) multiplies U_k in ``_step`` as the packed factor does.
-    """
-
-    __slots__ = ("k", "b", "w")
-
-    def __init__(self, k: int, b: int, w: int) -> None:
-        self.k, self.b, self.w = k, b, w
-
-    def __mul__(self, v):
-        if isinstance(v, _PowerOfQ):
-            return _PowerOfQ(self.k + v.k, self.b, self.w)
-        if v == 1:  # the seed q * 1 stays a power
-            return self
-        if self.k == 1:
-            return _Packed(1, -1, 1 - self.b, self.w) * v
-        return _power_of_q(self.k, self.b, self.w) * v
-
-    def __rmul__(self, c: int) -> Decimal:
-        return _power_of_q(self.k, self.b, self.w) * c
-
-
-def _power_of_q(k: int, b: int, w: int) -> Decimal:
-    """q^k = (-x)^k (1 + (b-1) x)^k at x = 10^w, written from its coefficients C(k, j) (b-1)^j.
-
-    Each coefficient is carried to the next by (k-j)(b-1) / (j+1), an exact
-    division, and each is at most b^k, which must be below 10^w. Linear in
-    the length, where squaring q^(k/2) is a long product; at b = 1 the
-    value is one digit and an exponent.
-    """
-    sign = "-" if k & 1 else ""
-    if b == 1:
-        return Decimal(f"{sign}1E{k * w}")
-    with localcontext(_exact_context()):
-        c, words = Decimal(1), [f"E{k * w}"]  # the text is read from the end of the list
-        for j in range(k):
-            words.append(str(c).zfill(w))
-            c = c * ((k - j) * (b - 1)) // (j + 1)
-    words += (str(c), sign)
-    return Decimal("".join(reversed(words)))
-
-
-def _widened(digits: str, h: int, w: int) -> str:
-    """The text of a value packed at 10^h, every slot below 10^h, packed at 10^w instead, w >= h.
-
-    The slots are cut from the right and joined by w - h zeros, in one pass over the text.
-    """
-    slots = [digits[max(end - h, 0) : end] for end in range(len(digits), 0, -h)]
-    return ("0" * (w - h)).join(reversed(slots))
-
-
-# The packed length (index times w) from which the doubling runs at the half width.
-# Below it the second width costs more than it saves. Paired in-process medians of
-# polynomial_text, two widths against one (2 vCPUs, Python 3.11, two runs of 201-401
-# pairs): two widths took 52-90 us more a call on P(25,2,1) and C(25,3,2) (260-350
-# packed digits), 32-159 us more at 1,380-4,332, -16 to +108 us at 5,520-6,710, and
-# 42-204 us less at 7,560-8,436 and 164-834 us less at 9,920-13,231.
-_HALF_WIDTH_DIGITS = 7_000
-
-
-def _two_widths(kind: str, n: int, a: int, b: int, w: int) -> Decimal:
-    """The `kind` value at index n >= 2, at p = 1 + (a-1) x and q = -x (1 + (b-1) x), x = 10^w.
-
-    With N its U or V index, the doubling runs at 10^h up to the half index
-    m = floor(N/2), h the digit count of V_m(a, -b), and the one-product
-    finish at 10^w. That is exact for a value whose coefficients are below
-    10^w, as I(G; x)'s are, because for k <= m, U_k, V_k and (1 + (b-1) x)^k
-    have nonnegative coefficients, as p and -q do, and each coefficient is
-    at most the polynomial's value at x = 1: U_k(a, -b) <= V_k(a, -b), as
-    V_k = U_{k+1} + b U_{k-1} and U does not fall; b^k <= a^k <= V_k(a, -b),
-    the first term of its summation; and V_k(a, -b) <= V_m(a, -b) < 10^h, as
-    V grows with k at a >= 2. So U_m and V_m fill their h-digit slots as the
-    coefficients and move to width w as text (``_widened``), and every power
-    of q is written from its binomials (``_PowerOfQ``, ``_power_of_q``), each
-    below 10^h <= 10^w, as b^m is.
-    """
-    second, shift = _LUCAS_VALUE[kind]
-    n += shift
-    m = n >> 1
-    h = _decimal_lucas("V", m, Decimal(a), Decimal(-b)).adjusted() + 1
-    with localcontext(_exact_context()):
-        u, v, _ = _half_index(n, _Packed(0, 1, a - 1, h), _PowerOfQ(1, b, h))
-        u, v = (Decimal(_widened(str(t), h, w)) for t in (u, v))
-        qm = _power_of_q(m, b, w) if second or n & 1 else 0  # U_{2m} = U_m V_m needs no q^m
-        # u and v are read from text, so the value has exponent 0 and prints as digits
-        return _finish(second, n, _Packed(0, 1, a - 1, w), _Packed(1, -1, 1 - b, w), u, v, qm)
-
-
-def _packed_coefficients(params: ChainsawParams, family: str) -> list[str]:
-    """The coefficients' decimal texts, lowest degree first, cut from the value at 10^w (a >= 2).
-
-    A value of _HALF_WIDTH_DIGITS packed digits or more (index times w) is
-    doubled in two widths (``_two_widths``), a shorter one at 10^w.
-    """
-    kind, shift = _family(params, family)
-    n, a, b = params.n + shift, params.a, params.b
-    w = len(decimal_text(closed_form_count(params, family)))
-    if n < 2 or n * w < _HALF_WIDTH_DIGITS:
-        digits = str(_decimal_lucas(kind, n, _Packed(0, 1, a - 1, w), _Packed(1, -1, 1 - b, w)))
-    else:
-        digits = str(_two_widths(kind, n, a, b, w))
-    # i_t > 0 for every t up to the independence number, so no slot is all zeros
-    return [digits[max(end - w, 0) : end].lstrip("0") for end in range(len(digits), 0, -w)]
+    c, d = a - 1, b - 1
+    e, d1, d2 = 2 * d - c, 2 * c + 4, c * c + 4 * d
+    f2, f3, f4 = -2 * (d1 + d), -2 * (d2 + d * d1), -2 * d * d2
+    g1, g2, g3 = d1 - n * (d1 + 2 * d), 2 * d2 + d * d1 - n * (d2 + 2 * d * d1), 2 * d * d2 * (1 - n)
+    ne = n * e
+    v = u = 1
+    u2 = u3 = 0  # u_{k-2}, u_{k-3}
+    out = [1]
+    for k in range(1, n):
+        r1 = 2 * d * (n - k + 1) * v - ne * u
+        r2 = (f2 * (k - 1) - g1) * u + (f3 * (k - 2) - g2) * u2 + (f4 * (k - 3) - g3) * u3 - ne * v
+        s, den = n - 2 * k, 4 * k * (n - k)
+        v, u, u2, u3 = (s * r1 + n * r2) // den, (s * r2 + n * r1) // den, u, u2
+        out.append(v if second else u)
+    if second:
+        out.append((2 * d * v - ne * u) // n)
+    return out
 
 
 def closed_form_polynomial(params: ChainsawParams, family: str) -> list[int]:
     """Coefficients of I(C(n,a,b); x) = V_n(p, q) or I(P(n,a,b); x) = U_{n+2}(p, q), no graph built.
 
     p = 1 + (a-1) x and q = -x (1 + (b-1) x): the paper's count with weight
-    x on each chosen vertex. The value is taken at x = 10^w by the
-    sequences' index doubling on exact Decimals, w the digit count of
-    i(G) = I(G; 1). Every coefficient is nonnegative and at most i(G), so
-    each is one w-digit slot of the result, and evaluation at 10^w is a
-    ring homomorphism, so the doubling's negative intermediates do no harm.
-    p and q enter as packed factors (``_Packed``), so the doubling
-    multiplies by them with digit shifts and one-word multiples, never by a
-    long Decimal. A long value runs the levels below the half index at
-    about half the width, and its powers q^k = (-x)^k (1 + (b-1) x)^k are
-    written from their binomials, not squared (``_packed_coefficients``).
-    ``polynomial_text`` prints the slots as they stand.
-
+    x on each chosen vertex. At a >= 2 the coefficients follow the linear
+    recurrence of V and U's differential system (``_lucas_coefficients``).
     At a = 1 (so b = 1) there are no blade vertices: every vertex is a chain
-    vertex, the strata are the coefficients, and nothing is packed.
+    vertex, and the strata are the coefficients.
     """
     if params.a == 1:
         return list(stratified_closed_form(params, family).values())
-    return [int(Decimal(slot)) for slot in _packed_coefficients(params, family)]
-
-
-def polynomial_text(params: ChainsawParams, family: str) -> str:
-    """``decimal_text(closed_form_polynomial(params, family))``, read from the decimal slots directly.
-
-    Skipping the slot -> int -> text round trip takes 17% off P(419,5,3), 35%
-    off P(2000,5,4) and 53% off C(3000,3,2) (in-process medians, 2-vCPU machine).
-    """
-    if params.a == 1:
-        return decimal_text(closed_form_polynomial(params, family))
-    return "[" + ", ".join(_packed_coefficients(params, family)) + "]"
+    kind, shift = _family(params, family)
+    second, lucas_shift = _LUCAS_VALUE[kind]
+    return _lucas_coefficients(second, params.n + shift + lucas_shift, params.a, params.b)
 
 
 def family_graph(params: ChainsawParams, family: str) -> Graph:

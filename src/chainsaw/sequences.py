@@ -19,9 +19,7 @@ returns arbitrary-precision Python ints; parameters may be negative or zero. ``l
 ``lucas_V``, ``dickson_D_sum`` and ``dickson_E_sum`` are ``evaluate`` with a fixed kind
 and method, so they check and fail as it does. The command line prints a ``matrix``
 value from the same doubling on exact Decimals (``counting.sequence_text``), computed
-in the base it is printed in, and ``poly`` runs it on the packed factors of
-``counting._Packed``; a long ``poly`` calls its two halves, ``_half_index`` and
-``_finish``, at two widths.
+in the base it is printed in.
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ def _step(p, q, u, v):
     """(U_{k+1}, V_{k+1}) from (U_k, V_k): (p U_k + V_k) / 2 and p U_{k+1} - 2 q U_k.
 
     Both are linear in the operands. The second equals ((p^2 - 4q) U_k + p V_k) / 2
-    but multiplies by p and q alone, so a packed factor is never squared.
+    but multiplies by p and q alone.
     """
     w = (p * u + v) // 2
     return w, p * w - 2 * (q * u)
@@ -127,42 +125,24 @@ def _by_matrix(kind: str, n: int, p, q):
     as 2 M^k = V_k I + U_k (2M - pI). Doubling it is U_{2k} = U_k V_k,
     V_{2k} = V_k^2 - 2 q^k and q^{2k} = (q^k)^2 (Joye and Quisquater 1996); a step by
     one is ``_step``. Every kind is U or V at a shifted index (``_LUCAS_VALUE``). The
-    doubling (``_half_index``) stops at m = floor(n/2), and one product of half-width
-    factors finishes (``_finish``). So a level costs two long products and the square
+    doubling stops at m = floor(n/2), and one product of half-width factors finishes:
+    U_{2m} = U_m V_m, V_{2m} = V_m^2 - 2 q^m, U_{2m+1} = U_{m+1} V_m - q^m and
+    V_{2m+1} = V_{m+1} V_m - p q^m. So a level costs two long products and the square
     of q^k, which is short at |q| = 1, and the finish one.
 
     The halving in ``_step`` is ``//``, exact because each numerator is twice a
-    polynomial in p and q with integer coefficients. p and q are only ever the left
-    factor of a product, and nothing but +, -, * and // 2 touches the operands, so p
-    and q may be ints, exact Decimals or any value that multiplies from the left, such
-    as the packed factors of ``counting``; ``p * 1`` and ``q * 1`` are plain values.
+    polynomial in p and q with integer coefficients. Nothing but +, -, * and // 2
+    touches the operands, so p and q may be ints or exact Decimals.
     """
     second, shift = _LUCAS_VALUE[kind]
     n += shift
     if n < 2:
-        return (p * 1 if n else 2) if second else n
-    return _finish(second, n, p, q, *_half_index(n, p, q))
-
-
-def _half_index(n: int, p, q):
-    """(U_m, V_m, q^m) at m = floor(n/2), n >= 2, by doubling the triple from k = 1 along the bits of m.
-
-    The power of q enters only as ``q * 1``, ``q^k * q^k``, ``q * q^k`` and ``2 * q^k``.
-    """
-    u, v, qk = 1, p * 1, q * 1  # (U_k, V_k, q^k) at k = 1
+        return (p if n else 2) if second else n
+    u, v, qk = 1, p, q  # (U_k, V_k, q^k) at k = 1
     for bit in bin(n >> 1)[3:]:  # up to k = m
         u, v, qk = u * v, v * v - 2 * qk, qk * qk
         if bit == "1":
             (u, v), qk = _step(p, q, u, v), q * qk
-    return u, v, qk
-
-
-def _finish(second: bool, n: int, p, q, u, v, qk):
-    """U_n, or V_n if `second`, from (U_m, V_m, q^m) at m = floor(n/2), by one long product.
-
-    U_{2m} = U_m V_m, V_{2m} = V_m^2 - 2 q^m, U_{2m+1} = U_{m+1} V_m - q^m and
-    V_{2m+1} = V_{m+1} V_m - p q^m.
-    """
     if n & 1:  # U_{m+1} V_m - q^m or V_{m+1} V_m - p q^m
         u, w = _step(p, q, u, v)
         u, qk = (w, p * qk) if second else (u, qk)

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -132,9 +133,9 @@ class TestCount:
     @pytest.mark.parametrize("n", ["-1", "-3"])
     @pytest.mark.parametrize("method", ["brute", "eliminate", "closed-form"])
     def test_negative_path_length_exits_2(self, capsys, method, n):
+        # the path's own domain, with no a or b, since none was given
         rc, out, err = run_cli(capsys, "count", "--family", "path", "--n", n, "--method", method)
-        assert (rc, out) == (2, "")
-        assert f"n={n}," in err
+        assert (rc, out, err) == (2, "", f"error: family 'path' requires n >= 0, got n={n}\n")
 
     @pytest.mark.parametrize("family", ["path", "cycle"])
     @pytest.mark.parametrize("method", ["brute", "eliminate", "closed-form"])
@@ -177,11 +178,13 @@ class TestCount:
         try:
             return 0, f"{decimal_text(closed_form_count(ChainsawParams(n, a, b), table))}\n", ""
         except ValueError as exc:
+            if family in self.UNIT_ROWS:  # the CLI names the family typed, not its table row
+                exc = f"family {family!r} requires n >= {1 - _ENCODING[table][1]}, got n={n}"
             return 2, "", f"error: {exc}\n"
 
     @pytest.mark.parametrize("family", ["path", "cycle", "chainsaw", "broken"])
     def test_closed_form_prints_the_summation(self, capsys, family):
-        # n = -1 and chainsaw's n = 0 are refused, by the same message as the summation's
+        # n = -1 and chainsaw's n = 0 are refused, by the summation's message for the family typed
         blades = [()] if family in self.UNIT_ROWS else [(1, 1), (2, 1), (3, 2), (4, 4), (7, 3)]
         for n in range(-1, 41):
             for ab in blades:
@@ -260,7 +263,7 @@ class TestPoly:
 
     @pytest.mark.parametrize("family", ["chainsaw", "broken"])
     def test_text_is_the_text_of_the_coefficients(self, capsys, family):
-        # the slots are printed as they stand, so they must read as the ints would:
+        # poly prints the library's coefficients as decimal_text writes them:
         # every 1 <= b <= a <= 6 on n <= 6, and the a = 1 rows further out
         rows = [(n, a, b) for n in range(7) for a in range(1, 7) for b in range(1, a + 1)]
         rows += [(n, 1, 1) for n in range(7, 41)]
@@ -275,17 +278,54 @@ class TestPoly:
     def test_unit_blades_never_pack(self, capsys, monkeypatch, plain, row):
         # at a = 1 every vertex is a chain vertex, so the strata are the coefficients
         def refuse(*_):
-            raise AssertionError("poly packed a polynomial with no blades")
+            raise AssertionError("poly ran the recurrence on a polynomial with no blades")
 
         for n in [*range(0 if plain == "path" else 1, 41), 1000]:
             expected = run_cli(capsys, "poly", "--family", plain, "--n", str(n))
             assert expected[0] == 0
             with monkeypatch.context() as patched:
-                for doubling in ("_by_matrix", "_half_index", "_finish"):
-                    patched.setattr(f"chainsaw.counting.{doubling}", refuse)
+                patched.setattr("chainsaw.counting._lucas_coefficients", refuse)
                 unit = ("--n", str(n), "--a", "1", "--b", "1")
                 assert run_cli(capsys, "poly", "--family", row, *unit) == expected
                 assert run_cli(capsys, "poly", "--family", plain, "--n", str(n)) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "chainsaw", "--n", "3", "--a", "3", "--b", "2"),
+            ("--family", "broken", "--n", "0", "--a", "4", "--b", "2"),
+            ("--family", "broken", "--n", "131", "--a", "4", "--b", "4"),
+            ("--family", "chainsaw", "--n", "130", "--a", "5", "--b", "1"),
+        ],
+    )
+    def test_blades_need_no_doubling_and_no_summation(self, capsys, monkeypatch, argv):
+        # at a >= 2 the coefficients come from the recurrence alone
+        expected = run_cli(capsys, "poly", *argv)
+        assert expected[0] == 0
+
+        def refuse(*_):
+            raise AssertionError("poly ran a doubling or the Dickson summation")
+
+        for route in ("_by_matrix", "_decimal_lucas", "closed_form_count"):
+            monkeypatch.setattr(f"chainsaw.counting.{route}", refuse)
+        assert run_cli(capsys, "poly", *argv) == expected
+
+    # the poly lines of the CI workflow: sha256 of stdout, or stdout itself
+    PINS = [
+        (("broken", "419", "5", "3"), "03c3fda2e2d5b4755940be134a7c74cb63eab67cd4003e334a0bb033549061f3"),
+        (("chainsaw", "400", "4", "3"), "df371d4cc2b2b4f8a6da875a8567abcfb6bc0049d0b746c1d9c45327d4ed17ea"),
+        (("chainsaw", "401", "2", "1"), "3ee7bbe59ba5713eefb67a87c6d9442e5d37d376e554c83cef70b5d50d032486"),
+        (("broken", "420", "5", "3"), "e596454e800316b36bdbbc67b21154546328887118ffd9b9b48f4f1a8cf83b17"),
+        (("broken", "5", "3", "2"), "[1, 17, 111, 357, 601, 507, 169]\n"),
+        (("chainsaw", "4", "1", "1"), "[1, 4, 2]\n"),
+    ]
+
+    @pytest.mark.parametrize("shape,pin", PINS, ids=[f"{f}-{n}-{a}-{b}" for (f, n, a, b), _ in PINS])
+    def test_byte_pins(self, capsys, shape, pin):
+        family, n, a, b = shape
+        rc, out, err = run_cli(capsys, "poly", "--family", family, "--n", n, "--a", a, "--b", b)
+        assert (rc, err) == (0, "")
+        assert pin in (out, hashlib.sha256(out.encode()).hexdigest())
 
 
 class TestFamilySurface:
@@ -298,6 +338,15 @@ class TestFamilySurface:
         ("count", "--method", "closed-form"),
         ("poly",),
     )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "family,n,least", [("cycle", 0, 1), ("cycle", -2, 1), ("path", -1, 0), ("path", -3, 0)]
+    )
+    def test_domain_errors_name_the_family_typed(self, capsys, command, family, n, least):
+        # not its table row (chainsaw, broken), and not the a and b of the unit blades
+        want = f"error: family {family!r} requires n >= {least}, got n={n}\n"
+        assert run_cli(capsys, *command, "--family", family, f"--n={n}") == (2, "", want)
 
     @staticmethod
     def reference(family, n, a, b):

@@ -20,13 +20,9 @@ from chainsaw.counting import (
     ComputationAbandoned,
     OracleCapExceeded,
     _ENCODING,
-    _Packed,
-    _exact_context,
     _family_order,
     _poly_add,
     _poly_shift,
-    _power_of_q,
-    _widened,
     brute_force_strata,
     closed_form_count,
     closed_form_polynomial,
@@ -35,7 +31,6 @@ from chainsaw.counting import (
     decimal_text,
     family_graph,
     independence_polynomial,
-    polynomial_text,
     sequence_text,
     stratified_closed_form,
 )
@@ -455,99 +450,35 @@ class TestClosedFormPolynomial:
 
     @pytest.mark.parametrize("family", ["chainsaw", "broken"])
     def test_matches_elimination_on_a_grid(self, family):
-        # every 1 <= b <= a <= 6 and n <= 6: b = 1 makes q a single shift, a = b leaves no
-        # wiring, and the doubling's half index m = floor((n + shift) / 2) is 0, 1, 2 and 3
-        for n in range(0 if family == "broken" else 1, 7):
-            for a in range(1, 7):
+        # every 1 <= b <= a <= 8 and n <= 12: b = 1 makes d = 0, a = b makes e = 2d - c = d, n = 1 and
+        # 2 leave the recurrence at most one step, and P(0, a, b) is U_2, whose only coefficients are u_0, u_1
+        for n in range(0 if family == "broken" else 1, 13):
+            for a in range(1, 9):
                 for b in range(1, a + 1):
                     params = ChainsawParams(n, a, b)
                     want = independence_polynomial(family_graph(params, family))
                     assert closed_form_polynomial(params, family) == want, params
-
-    @pytest.mark.parametrize("family", ["chainsaw", "broken"])
-    def test_text_reads_the_slots_as_the_ints_print(self, family):
-        # a = 1 takes the strata route, a > 1 reads the packed slots, and P(0, a, b) is in the grid;
-        # the last row is long enough for the two-width doubling
-        first = 0 if family == "broken" else 1
-        rows = [(n, a, b) for n in range(first, 13) for a in range(1, 6) for b in range(1, a + 1)]
-        for n, a, b in [*rows, (150, 4, 3)]:
-            params = ChainsawParams(n, a, b)
-            assert polynomial_text(params, family) == decimal_text(closed_form_polynomial(params, family))
-
-    @staticmethod
-    def widenings(monkeypatch):
-        """The (h, w) of every re-slot the packed path makes from now on."""
-        seen = []
-
-        def spy(digits, h, w):
-            seen.append((h, w))
-            return _widened(digits, h, w)
-
-        monkeypatch.setattr(counting, "_widened", spy)
-        return seen
 
     @pytest.mark.parametrize("b_of_a", [lambda a: 1, lambda a: a - 1, lambda a: a], ids=["b=1", "1<b<a", "b=a"])
     @pytest.mark.parametrize("family", ["chainsaw", "broken"])
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_two_widths_match_elimination(self, monkeypatch, family, parity, b_of_a):
-        # past the size rule: the chainsaw is V_n, so n even ends V_m^2 - 2 q^m and n odd
-        # V_{m+1} V_m - p q^m; the broken chainsaw is U_{n+2}, ending U_m V_m or U_{m+1} V_m - q^m
-        widened = self.widenings(monkeypatch)
+    def test_matches_elimination_at_both_parities(self, family, parity, b_of_a):
+        # the index N is n for the chainsaw's V_N and n + 2 for the broken chainsaw's U_N, and the
+        # recurrence runs its divisions by 4k(N - k) through every k of both halves
         a = 4
         params = ChainsawParams(130 + parity, a, b_of_a(a))
-        poly = closed_form_polynomial(params, family)
-        assert len(widened) == 2 and all(h < w for h, w in widened)
-        assert poly == independence_polynomial(family_graph(params, family))
+        assert closed_form_polynomial(params, family) == independence_polynomial(family_graph(params, family))
 
     @pytest.mark.parametrize("family", ["chainsaw", "broken"])
-    def test_two_widths_on_a_grid(self, monkeypatch, family):
-        # with the size rule off, every index from 2 up takes the two widths, m = 1 and 2 among them
-        monkeypatch.setattr(counting, "_HALF_WIDTH_DIGITS", 0)
-        widened = self.widenings(monkeypatch)
-        for n in range(0 if family == "broken" else 1, 13):
-            for a in range(2, 8):
-                for b in range(1, a + 1):
-                    params = ChainsawParams(n, a, b)
-                    want = independence_polynomial(family_graph(params, family))
-                    assert closed_form_polynomial(params, family) == want, params
-        # every row re-slots U_m and V_m but C(1, a, b) and P(0, a, b), whose index D_1 or E_1 is below 2
-        assert len(widened) == 2 * (12 if family == "broken" else 11) * sum(range(2, 8))
-
-    @pytest.mark.parametrize(
-        "coefficients,h,w",
-        [
-            ([7, 0, 0, 12, 0, 345], 3, 5),  # zero slots, a top slot shorter than h
-            ([999, 1, 0, 5], 3, 3),  # no widening
-            ([1, 0, 10**17, 0, 2], 18, 40),  # wider by more than one 19-digit word
-            ([5], 4, 30),  # one slot
-            ([10**20 - 1, 0, 0, 3, 10**19], 20, 61),
-        ],
-    )
-    def test_widened_repacks_the_same_coefficients(self, coefficients, h, w):
-        def packed(width):
-            return str(sum(c * 10 ** (width * t) for t, c in enumerate(coefficients)))
-
-        assert _widened(packed(h), h, w) == packed(w)
-
-    def test_power_of_q_is_the_power(self):
-        # q^k = (-x)^k (1 + (b-1) x)^k at x = 10^w, its coefficients at most b^k < 10^w
-        with decimal.localcontext(_exact_context()):
-            for b in range(1, 6):
-                for k in range(1, 13):
-                    for w in {len(str(b**k)), 25}:
-                        x = 10**w
-                        assert _power_of_q(k, b, w) == (-x * (1 + (b - 1) * x)) ** k, (k, b, w)
-
-    @pytest.mark.parametrize("w", [1, 3, 40])
-    def test_packed_factors_multiply_by_their_value(self, w):
-        # an int or a Decimal times 1 + (a-1) x or -x (1 + (b-1) x) at x = 10^w, exactly
-        x = 10**w
-        with decimal.localcontext(_exact_context()):
-            for a, b in ((2, 1), (5, 3), (7, 7)):
-                p, q = _Packed(0, 1, a - 1, w), _Packed(1, -1, 1 - b, w)
-                for factor, value in ((p, 1 + (a - 1) * x), (q, -x * (1 + (b - 1) * x))):
-                    for v in (0, 1, -7, 12345678901234567890123, decimal.Decimal(-10**30 - 3)):
-                        assert factor * v == value * int(v)
+    def test_top_coefficient_and_sum_at_a_large_index(self, family):
+        # the top coefficient of V_N(p, q) is V_N(a - 1, -(b - 1)), of U_N(p, q) U_N(a - 1, -(b - 1)),
+        # as p ~ (a - 1) x and q ~ -(b - 1) x^2; the sum is I(G; 1)
+        params = ChainsawParams(2000, 3, 2)
+        kind, index = ("V", 2000) if family == "chainsaw" else ("U", 2002)
+        poly = closed_form_polynomial(params, family)
+        assert len(poly) == (index + 1 if kind == "V" else index)
+        assert poly[-1] == evaluate(SequenceSpec(kind, index, params.a - 1, -(params.b - 1), "matrix"))
+        assert sum(poly) == closed_form_count(params, family)
 
     def test_frozen_examples(self):
         assert closed_form_polynomial(ChainsawParams(5, 3, 2), "broken") == [1, 17, 111, 357, 601, 507, 169]
