@@ -2,7 +2,8 @@
 
 Every independent set either leaves out a vertex v or holds it and none of
 its neighbours, so I(G) = I(G - v) + x * I(G - N[v]). ``frontier_pass``
-decides the vertices one by one in ``breadth_first`` order. A state is the
+decides the vertices one by one in ``breadth_first`` order, and the sweep
+that numbers them also yields each one's later neighbours. A state is the
 set of later vertices that a chosen vertex blocks, as bits relative to the
 current position (bit 0 is the vertex being decided), so keys stay as wide
 as the numbering's bandwidth; two choices that block the same set merge.
@@ -35,13 +36,17 @@ def same(value):
 
 
 def breadth_first(adjacency) -> tuple[list[int], list[int]]:
-    """The vertices breadth-first from each lowest vertex not yet placed, and each one's place.
+    """The vertices breadth-first from each lowest vertex not yet placed, and each one's later neighbours.
 
     On C(n, a, b) and P(n, a, b) this puts each blade next to its chain
-    vertex, so the pass sees a chain of cliques.
+    vertex, so the pass sees a chain of cliques. Entry i of the masks holds
+    the neighbours placed after the i-th vertex, as bits relative to the
+    next position (bit j is position i + 1 + j), read off in the same sweep
+    that places them: each adjacency set is walked once.
     """
     pos = [-1] * len(adjacency)
     order: list[int] = []
+    masks: list[int] = []
     head = 0
     for root in range(len(adjacency)):
         if pos[root] >= 0:
@@ -49,12 +54,18 @@ def breadth_first(adjacency) -> tuple[list[int], list[int]]:
         pos[root] = len(order)
         order.append(root)
         while head < len(order):
-            for u in adjacency[order[head]]:
-                if pos[u] < 0:
-                    pos[u] = len(order)
+            v = order[head]
+            head += 1  # the position after v's, bit 0 of its mask
+            fwd = 0
+            for u in adjacency[v]:
+                p = pos[u]
+                if p < 0:
+                    p = pos[u] = len(order)
                     order.append(u)
-            head += 1
-    return order, pos
+                if p >= head:
+                    fwd |= 1 << (p - head)
+            masks.append(fwd)
+    return order, masks
 
 
 def frontier_pass(adjacency, loops, one, add, shift_of, limit: int):
@@ -67,13 +78,8 @@ def frontier_pass(adjacency, loops, one, add, shift_of, limit: int):
     is not even called). Equal states merge through `add`; the values start
     from `one`.
     """
-    order, pos = breadth_first(adjacency)
     states = {0: one}
-    for i, v in enumerate(order):
-        fwd = 0  # v's later neighbours, relative to the next position
-        for u in adjacency[v]:
-            if pos[u] > i:
-                fwd |= 1 << (pos[u] - i - 1)
+    for v, fwd in zip(*breadth_first(adjacency)):  # fwd: v's later neighbours, relative to the next position
         shift = None if v in loops else shift_of(v)
         step: dict = {}
         for b, w in states.items():

@@ -69,6 +69,10 @@ _STR_BITS = 2000
 
 _ENCODING = {"chainsaw": ("D", 0), "broken": ("E", 1)}  # family -> (Dickson kind, index shift)
 
+# a decimal context that never rounds: an inexact or rounded result raises. Every exact operation
+# leaves its flags clear, so one context serves every call; ``localcontext`` runs on a copy of it
+_EXACT = Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
 
 class OracleCapExceeded(RuntimeError):
     """Brute-force enumeration was asked for a graph above the vertex cap."""
@@ -78,27 +82,25 @@ class ComputationAbandoned(RuntimeError):
     """A computation hit a resource budget: elimination memo entries or printable result size."""
 
 
-def _exact_context() -> Context:
-    """A decimal context that never rounds: any inexact or rounded result raises."""
-    return Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-
-
-def _to_decimal(piece: int, w: int, powers: dict, ctx: Context | None = None) -> Decimal:
-    """0 <= piece < 2^w as an exact Decimal, split at 2^(w/2); `powers` caches 2^k by k.
+def _to_decimal(piece: int, w: int, powers: dict) -> Decimal:
+    """0 <= piece < 2^w as an exact Decimal, split at 2^h near 2^(w/2); `powers` caches 2^h by h.
 
     The method of CPython 3.12's ``_pylong.int_to_decimal``. In the exact
     context libmpdec multiplies large operands by a number-theoretic
-    transform, so the conversion is quasi-linear.
+    transform, so the conversion is quasi-linear. h is w/2 rounded down to
+    its top three bits, so widths close together split at the same h and
+    share its power.
     """
     if w <= _BASE_BITS:
         return Decimal(piece)
-    ctx = ctx or _exact_context()
     half = w >> 1
+    cut = half.bit_length() - 3  # at least 9, as w > _BASE_BITS
+    half = half >> cut << cut
     if half not in powers:
-        powers[half] = ctx.power(2, half)
+        powers[half] = _EXACT.power(2, half)
     hi = piece >> half
-    low = _to_decimal(piece - (hi << half), half, powers, ctx)
-    return ctx.add(ctx.multiply(_to_decimal(hi, w - half, powers, ctx), powers[half]), low)
+    low = _to_decimal(piece - (hi << half), half, powers)
+    return _EXACT.add(_EXACT.multiply(_to_decimal(hi, w - half, powers), powers[half]), low)
 
 
 def decimal_text(value: int | list[int]) -> str:
@@ -106,15 +108,21 @@ def decimal_text(value: int | list[int]) -> str:
 
     Quasi-linear in the length. More than MAX_DIGITS digits, sign not
     counted, is a resource cap: ComputationAbandoned, raised before any
-    conversion when the bit length alone shows it.
+    conversion when the bit length alone shows it. The entries of a list
+    share one cache of powers of 2.
     """
     if isinstance(value, list):
-        return "[" + ", ".join(map(decimal_text, value)) + "]"
+        powers: dict = {}
+        return "[" + ", ".join([_int_text(v, powers) for v in value]) + "]"
+    return _int_text(value, {})
+
+
+def _int_text(value: int, powers: dict) -> str:
     magnitude = abs(value)
     width = magnitude.bit_length()
     # at least floor((width - 1) * log10(2)) + 1 digits, with log10(2) rounded down
     if (width - 1) * 30102999 // 10**8 < MAX_DIGITS:
-        digits = str(magnitude) if width <= _STR_BITS else str(_to_decimal(magnitude, width, {}))
+        digits = str(magnitude) if width <= _STR_BITS else str(_to_decimal(magnitude, width, powers))
         if len(digits) <= MAX_DIGITS:
             return "-" + digits if value < 0 else digits
     raise ComputationAbandoned(f"result has more than {MAX_DIGITS} digits to print")
@@ -427,7 +435,7 @@ def _decimal_lucas(kind: str, n: int, p, q) -> Decimal:
     a Decimal and turns the -0 a product with a zero factor can leave
     (V_3(0, 1)) into 0.
     """
-    with localcontext(_exact_context()):
+    with localcontext(_EXACT):
         return _by_matrix(kind, n, p, q) + Decimal(0)
 
 

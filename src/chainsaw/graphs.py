@@ -18,7 +18,7 @@ C(n, 1, 1).
 from __future__ import annotations
 
 import json
-from itertools import combinations, repeat
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 CHAIN = "chain"
@@ -142,9 +142,11 @@ class Graph(_Frozen):
         for v in loop_set:
             if not 0 <= v < order:
                 raise ValueError(f"looped vertex {v} out of range")
-        for v, r in enumerate(role_tuple):
-            if r not in (CHAIN, BLADE):
-                raise ValueError(f"unknown role {r!r} on vertex {v}")
+        # counted, not hashed into a set, so an unhashable role from json is named like any other
+        if role_tuple.count(CHAIN) + role_tuple.count(BLADE) != order:
+            for v, r in enumerate(role_tuple):
+                if r not in (CHAIN, BLADE):
+                    raise ValueError(f"unknown role {r!r} on vertex {v}")
         graph = object.__new__(cls)
         graph._init(order, tuple(map(frozenset, adj)), frozenset(loop_set), role_tuple)
         return graph
@@ -199,18 +201,28 @@ def make_cycle(n: int) -> Graph:
 
 
 def _saw_edges(n: int, a: int, b: int, broken: bool) -> Iterator[tuple[int, int]]:
-    """The edges of C(n, a, b), or P(n, a, b) when `broken`: chain, blade cliques, wiring, one at a time."""
-    blades = n + broken
-    # Graph.build reads the cycle's (0, 0) at n = 1 as the loop and its (1, 0) at n = 2 as (0, 1)
-    for v in range(n - broken):
-        yield v, (v + 1) % n
-    for j in range(blades):
-        start = n + j * (a - 1)
-        owner = [j - broken] if j >= broken else []
-        yield from combinations(owner + list(range(start, start + a - 1)), 2)
-    for v in range(n):
-        start = n + (v + broken + 1) % blades * (a - 1)
-        yield from zip(repeat(v), range(start, start + a - b))
+    """The edges of C(n, a, b), or P(n, a, b) when `broken`, from a few iterators that each span every blade.
+
+    Place i of blade j is vertex n + j(a - 1) + i. One iterator gives the
+    chain, a - 1 join each owner to place i of its blade, one per pair
+    i < j joins the places within each blade, and a - b wire each chain
+    vertex to place k of the next blade, the last vertex to blade 0. Each
+    is a zip of ranges, so the Python work grows with a^2, not with n.
+    Every vertex meets its neighbours in the order a walk blade by blade
+    gives (chain, its blade's places in order, wiring), so its adjacency
+    set iterates in that walk's order, which ``breadth_first`` follows.
+    """
+    order, step = n + (n + broken) * (a - 1), a - 1
+    # the cycle closes with (n-1, 0): at n = 1 that is (0, 0), which Graph.build reads as the loop,
+    # and at n = 2 it is (1, 0), the edge (0, 1) again; a path stops before it
+    parts = [zip(range(n - broken), chain(range(1, n), (0,)))]
+    parts += (zip(range(n), range(n + broken * step + i, order, step)) for i in range(step))
+    parts += (zip(range(n + i, order, step), range(n + j, order, step)) for i, j in combinations(range(step), 2))
+    # chain vertex v < n-1 to place k of blade v + broken + 1, then n-1 to place k of blade 0
+    parts += (
+        zip(range(n), chain(range(n + (broken + 1) * step + k, order, step), (n + k,))) for k in range(a - b)
+    )
+    return chain.from_iterable(parts)
 
 
 def _saw(params: ChainsawParams, broken: bool) -> Graph:

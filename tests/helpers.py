@@ -4,8 +4,8 @@ Everything here re-derives its answer straight from a definition: an
 independent set by growing vertex sets one vertex at a time, a Lucas-type
 value by its recurrence one step at a time. No code is shared with the
 package engines, so agreement between an engine and a reference is a genuine
-cross-check rather than a tautology. The broken chainsaw likewise comes from
-its definition, by deleting a vertex.
+cross-check rather than a tautology. The chainsaw comes from its definition
+one blade at a time, and the broken chainsaw from it by deleting a vertex.
 """
 
 import itertools
@@ -82,3 +82,24 @@ def reference_broken_chainsaw(params):
     edges = [(u - 1, v - 1) for u, v in g.edges() if 0 not in (u, v)]
     loops = [v - 1 for v in g.loops if v != 0]
     return Graph.build(g.order - 1, edges, loops, g.roles[1:])
+
+
+def reference_chainsaw(params):
+    """C(n, a, b) as the paper defines it, one blade at a time, in the canonical numbering.
+
+    The n-cycle on chain vertices 0..n-1 (at n = 1 a loop, at n = 2 one
+    edge), then each chain vertex v completed to an a-clique by its blade,
+    the a-1 vertices from n + v(a-1), then v wired to the a-b lowest
+    vertices of the next blade, that of (v+1) mod n.
+    """
+    n, a, b = params.n, params.a, params.b
+
+    def blade(v):
+        return list(range(n + v * (a - 1), n + (v + 1) * (a - 1)))
+
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    for v in range(n):
+        edges.extend(itertools.combinations([v] + blade(v), 2))
+    for v in range(n):
+        edges.extend((v, u) for u in blade((v + 1) % n)[: a - b])
+    return Graph.build(n * a, edges, (), (CHAIN,) * n + (BLADE,) * (n * (a - 1)))

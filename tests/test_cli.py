@@ -27,7 +27,7 @@ from chainsaw.counting import (
     family_graph,
     stratified_closed_form,
 )
-from chainsaw.graphs import ChainsawParams, Graph, NotAnInt, export_graph, make_chainsaw, make_path
+from chainsaw.graphs import EXPORT_FORMATS, ChainsawParams, Graph, NotAnInt, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import KINDS, SequenceSpec, evaluate, lucas_U, lucas_V
 from chainsaw.verify import InjectedGraph, report_text, run_verification
 from helpers import reference_broken_chainsaw
@@ -72,6 +72,41 @@ class TestGenerate:
         rc, out, _ = run_cli(capsys, "generate", "--family", "broken", "--n", str(n), "--a", str(a),
                              "--b", str(b), "--format", fmt)
         assert (rc, out) == (0, expected)
+
+    # sha256 of `generate` in each of EXPORT_FORMATS, in that order, taken when the edges were still
+    # generated one blade at a time: the loop of C(1, a, b), the double edge of C(2, a, b), P(0, a, b),
+    # the figure's C(6, 5, 3) and the benchmark's C(200, 4, 2)
+    PINS = [
+        ("cycle --n 12", ("94cdbe0dcb9c49869016c1dedf802561156ccb7e268235ff90123d7bcc90159b",
+                          "f4b4851ca5aa6ff32c9d2d723d2f6fae27da80d169b9b5ce8ccc245307f12fc9",
+                          "5fd301e5eb6f8ab01e0ca1be4d7905b6457f324508f603d471a19ecf7423d8e0")),
+        ("path --n 5", ("723eee12f244bc1bd1e4648685d613233d8b31a2ee280f5d2837c79c28ca6842",
+                        "4eed1c2c8fb0aa18940655d2698ca1b5fb1440ec8f35e66a15b140f38b58d26d",
+                        "971eda436aa4dd835482c9715beef0eea8f001b4c63f59f9cd4a4cb56dad8b94")),
+        ("chainsaw --n 1 --a 4 --b 2", ("6621ddb066de50de9802b5abf65920ade8f53cd12d1826ff85dbd8d335a583e2",
+                                        "9c976ffb1e3f7e5fd8be7fb3bb8ac34d5ae07c110f932a6ac0c335683d0f0d3c",
+                                        "11305f3828c9370ba9f6e1ada5c9b20cfd5dc635d0eb6cb44da37d69292a87c7")),
+        ("chainsaw --n 2 --a 3 --b 1", ("bc85532644f3beddc91c73d6e723caab944de0bdadf15d75e1bd7f0f932cc942",
+                                        "b677e3729d6c445304fa81e2ff0e656d3ebe287f5a6cfd28060b96e8a4fb7dba",
+                                        "fea31d91accc824c16f3f0d25c6e3c9b2ef507794901642e5c306f5ef3bc14ff")),
+        ("broken --n 0 --a 3 --b 2", ("a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+                                      "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d",
+                                      "2acad3fec5cd5eb84b9ab5e78b8a29c7b114fea72ca50ee95093fcb9e0dd3bbd")),
+        ("chainsaw --n 6 --a 5 --b 3", ("73b2ec704ac6e973cd0cc208b0b787c6c86513ca52bd6cacd2733ba30b327b2c",
+                                        "e1d2472760322cfca251132e94c3034cf2693d822c6e79b67c7a517e7c2142cd",
+                                        "4697d33d0b2585572ed9bb5e697ee8aa65fb4db673f9fd011ae25362034e3e9d")),
+        ("chainsaw --n 200 --a 4 --b 2", ("20359aff15bc3ac881d910e11816f49fc446f6e68da79f08a6a9e2a692a870ca",
+                                          "50f4bb84f4d2a5827e5b5c02a075338a3e4aeb3776e545db8e4edbc59c581c5e",
+                                          "330fc8a7d5c618a5b7171dcd6ec505b7688dae1cb4406a89968a2b220a50d320")),
+    ]
+
+    @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+    @pytest.mark.parametrize("shape,pins", PINS, ids=[shape.replace(" ", "") for shape, _ in PINS])
+    def test_byte_pins(self, capsys, shape, pins, fmt):
+        family, *options = shape.split()
+        rc, out, err = run_cli(capsys, "generate", "--family", family, *options, "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == pins[EXPORT_FORMATS.index(fmt)]
 
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

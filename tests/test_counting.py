@@ -700,6 +700,12 @@ class TestDecimalText:
         for values in ([], [0], [1, 4, 3], [10**5000 + 1, -(2**20000), 7]):
             assert decimal_text(values) == json.dumps(values)
 
+    def test_long_entries_of_a_list_share_split_points(self, no_int_limit):
+        # the entries of a list share one cache of powers of 2; widths 4097 to about 70,000 bits, close
+        # together and of both signs, split at shared points and at points only one of them uses
+        values = [(-1) ** k * 3**k + k for k in range(2585, 44000, 397)]
+        assert decimal_text(values) == json.dumps(values)
+
     def test_budget_counts_digits_not_the_sign(self, no_int_limit, monkeypatch):
         monkeypatch.setattr("chainsaw.counting.MAX_DIGITS", 5000)
         for value in (10**4999, 10**5000 - 1, -(10**5000 - 1)):

@@ -28,7 +28,7 @@ from chainsaw.graphs import (
 )
 from chainsaw.sequences import SequenceSpec
 from chainsaw.verify import InjectedGraph
-from helpers import random_graph, reference_broken_chainsaw
+from helpers import random_graph, reference_broken_chainsaw, reference_chainsaw
 
 
 def expected_chainsaw_size(n: int, a: int, b: int) -> int:
@@ -263,6 +263,17 @@ class TestChainsaw:
             blade_next = list(range(n + nxt * (a - 1), n + (nxt + 1) * (a - 1)))
             assert [w for w in blade_next if w in g.adjacency[v]] == blade_next[: a - b]
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_matches_the_reference_definition(self, a):
+        # and each adjacency set iterates as the reference's does, since the breadth-first numbering,
+        # and with it the states a step of the frontier pass, follows that order
+        for n in range(1, 10):
+            for b in range(1, a + 1):
+                params = ChainsawParams(n, a, b)
+                g, want = make_chainsaw(params), reference_chainsaw(params)
+                assert g == want, params
+                assert [list(s) for s in g.adjacency] == [list(s) for s in want.adjacency], params
+
     def test_single_chain_vertex_keeps_the_loop(self):
         g = make_chainsaw(ChainsawParams(1, 3, 2))
         assert g.loops == frozenset({0})
@@ -383,6 +394,18 @@ class TestGraphValidation:
         text = json.dumps({"order": order, "edges": edges, "loops": list(loops), "roles": roles})
         with pytest.raises(ValueError, match=f"^{message}$"):
             graph_from_json(text)
+
+    @pytest.mark.parametrize("role", [["chain"], {"blade": 1}, None, 0])
+    def test_a_role_of_any_json_type_is_named(self, role):
+        # an unhashable role is an unknown role like any other, not a TypeError
+        message = f"unknown role {role!r} on vertex 1"
+        with pytest.raises(ValueError) as exc:
+            Graph.build(3, [(0, 1)], (), [CHAIN, role, BLADE])
+        assert str(exc.value) == message
+        text = json.dumps({"order": 3, "edges": [[0, 1]], "loops": [], "roles": [CHAIN, role, BLADE]})
+        with pytest.raises(ValueError) as exc:
+            graph_from_json(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "built",

@@ -1,5 +1,6 @@
 """The oracle, the frontier pass run with no state limit, against the definition."""
 
+import collections
 import itertools
 import math
 import operator
@@ -21,7 +22,16 @@ from chainsaw.counting import (
     independence_polynomial,
     stratified_closed_form,
 )
-from chainsaw.graphs import BLADE, CHAIN, ChainsawParams, Graph, make_cycle, make_path
+from chainsaw.graphs import (
+    BLADE,
+    CHAIN,
+    ChainsawParams,
+    Graph,
+    make_broken_chainsaw,
+    make_chainsaw,
+    make_cycle,
+    make_path,
+)
 from chainsaw.sequences import lucas_U, lucas_V
 from helpers import random_graph, reference_count, reference_strata
 
@@ -180,6 +190,63 @@ def test_matches_reference_at_the_default_cap():
     g = Graph.build(26, [(u, v) for u, v in itertools.combinations(range(26), 2) if rng.random() < 0.2])
     assert g.order == DEFAULT_BRUTE_CAP
     assert brute_force_strata(g) == reference_strata(g)
+
+
+def _numbered_graphs():
+    yield from (random_graph(random.Random(500 + seed), max_order=30) for seed in range(40))
+    yield Graph.build(49, [(0, v) for v in range(1, 49)], loops=[0])  # the hub
+    yield Graph.build(40, [(u, v) for u in range(20) for v in range(20, 40)])  # K_{20,20}
+    for n in range(0, 7):
+        for a in range(1, 6):
+            for b in range(1, a + 1):
+                if n:
+                    yield make_chainsaw(ChainsawParams(n, a, b))
+                yield make_broken_chainsaw(ChainsawParams(n, a, b))
+
+
+def _reference_breadth_first(adjacency):
+    """The vertices breadth-first from each lowest vertex not yet seen, by a queue."""
+    seen, order = set(), []
+    for root in range(len(adjacency)):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = collections.deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            fresh = [u for u in adjacency[v] if u not in seen]
+            seen.update(fresh)
+            queue.extend(fresh)
+    return order
+
+
+@pytest.mark.parametrize("g", _numbered_graphs())
+def test_the_numbering_yields_each_vertex_with_its_later_neighbours(g):
+    order, masks = _kernels.breadth_first(g.adjacency)
+    assert order == _reference_breadth_first(g.adjacency) and len(masks) == g.order
+    pos = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        assert masks[i] == sum(1 << (pos[u] - i - 1) for u in g.adjacency[v] if pos[u] > i), (i, v)
+
+
+@pytest.mark.parametrize(
+    "family,n,a,b,peak",
+    [
+        ("chainsaw", 160, 2, 1, 6),
+        ("broken", 250, 3, 2, 6),
+        ("chainsaw", 200, 4, 2, 14),
+        ("chainsaw", 160, 5, 5, 8),
+        ("broken", 420, 5, 3, 7),
+    ],
+)
+def test_peak_states_a_step_on_the_benchmark_shapes(family, n, a, b, peak):
+    # the numbering follows the adjacency sets' iteration order, which the order the edges were added
+    # in can change: these peaks are what that order gives, and what elimination's limit of 32 sees
+    g = family_graph(ChainsawParams(n, a, b), family)
+    run = lambda limit: _kernels.frontier_pass(g.adjacency, g.loops, 1, operator.add, lambda v: _kernels.same, limit)
+    assert run(peak - 1) is None
+    assert run(peak) == count_brute_force(g, cap=g.order)
 
 
 def test_an_order_other_than_the_adjacency_length_is_a_value_error():
