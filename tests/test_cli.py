@@ -2,7 +2,6 @@
 
 import collections
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -27,16 +26,17 @@ from chainsaw.counting import (
     family_graph,
     stratified_closed_form,
 )
-from chainsaw.graphs import EXPORT_FORMATS, ChainsawParams, Graph, NotAnInt, export_graph, make_chainsaw, make_path
+from chainsaw.graphs import ChainsawParams, Graph, NotAnInt, export_graph, make_chainsaw, make_path
 from chainsaw.sequences import KINDS, SequenceSpec, evaluate, lucas_U, lucas_V
 from chainsaw.verify import InjectedGraph, report_text, run_verification
 from helpers import reference_broken_chainsaw
+from test_pins import PINS, check_pin, run_cli
 
 
-def run_cli(capsys, *argv):
-    rc = main(list(argv))
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
+def pin_rows(command, row_id):
+    """Parametrize over the pin table's rows of one command, each id made by ``row_id`` from the argv."""
+    rows = [row for row in PINS if row[0].split()[0] == command]
+    return pytest.mark.parametrize("argv,code,kind,expected", rows, ids=[row_id(row[0].split()) for row in rows])
 
 
 class TestGenerate:
@@ -73,40 +73,10 @@ class TestGenerate:
                              "--b", str(b), "--format", fmt)
         assert (rc, out) == (0, expected)
 
-    # sha256 of `generate` in each of EXPORT_FORMATS, in that order, taken when the edges were still
-    # generated one blade at a time: the loop of C(1, a, b), the double edge of C(2, a, b), P(0, a, b),
-    # the figure's C(6, 5, 3) and the benchmark's C(200, 4, 2)
-    PINS = [
-        ("cycle --n 12", ("94cdbe0dcb9c49869016c1dedf802561156ccb7e268235ff90123d7bcc90159b",
-                          "f4b4851ca5aa6ff32c9d2d723d2f6fae27da80d169b9b5ce8ccc245307f12fc9",
-                          "5fd301e5eb6f8ab01e0ca1be4d7905b6457f324508f603d471a19ecf7423d8e0")),
-        ("path --n 5", ("723eee12f244bc1bd1e4648685d613233d8b31a2ee280f5d2837c79c28ca6842",
-                        "4eed1c2c8fb0aa18940655d2698ca1b5fb1440ec8f35e66a15b140f38b58d26d",
-                        "971eda436aa4dd835482c9715beef0eea8f001b4c63f59f9cd4a4cb56dad8b94")),
-        ("chainsaw --n 1 --a 4 --b 2", ("6621ddb066de50de9802b5abf65920ade8f53cd12d1826ff85dbd8d335a583e2",
-                                        "9c976ffb1e3f7e5fd8be7fb3bb8ac34d5ae07c110f932a6ac0c335683d0f0d3c",
-                                        "11305f3828c9370ba9f6e1ada5c9b20cfd5dc635d0eb6cb44da37d69292a87c7")),
-        ("chainsaw --n 2 --a 3 --b 1", ("bc85532644f3beddc91c73d6e723caab944de0bdadf15d75e1bd7f0f932cc942",
-                                        "b677e3729d6c445304fa81e2ff0e656d3ebe287f5a6cfd28060b96e8a4fb7dba",
-                                        "fea31d91accc824c16f3f0d25c6e3c9b2ef507794901642e5c306f5ef3bc14ff")),
-        ("broken --n 0 --a 3 --b 2", ("a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
-                                      "cc285fb6c093465e44eea624d59b8c14809e353c4f67d98f96c5f8361d82d41d",
-                                      "2acad3fec5cd5eb84b9ab5e78b8a29c7b114fea72ca50ee95093fcb9e0dd3bbd")),
-        ("chainsaw --n 6 --a 5 --b 3", ("73b2ec704ac6e973cd0cc208b0b787c6c86513ca52bd6cacd2733ba30b327b2c",
-                                        "e1d2472760322cfca251132e94c3034cf2693d822c6e79b67c7a517e7c2142cd",
-                                        "4697d33d0b2585572ed9bb5e697ee8aa65fb4db673f9fd011ae25362034e3e9d")),
-        ("chainsaw --n 200 --a 4 --b 2", ("20359aff15bc3ac881d910e11816f49fc446f6e68da79f08a6a9e2a692a870ca",
-                                          "50f4bb84f4d2a5827e5b5c02a075338a3e4aeb3776e545db8e4edbc59c581c5e",
-                                          "330fc8a7d5c618a5b7171dcd6ec505b7688dae1cb4406a89968a2b220a50d320")),
-    ]
-
-    @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
-    @pytest.mark.parametrize("shape,pins", PINS, ids=[shape.replace(" ", "") for shape, _ in PINS])
-    def test_byte_pins(self, capsys, shape, pins, fmt):
-        family, *options = shape.split()
-        rc, out, err = run_cli(capsys, "generate", "--family", family, *options, "--format", fmt)
-        assert (rc, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == pins[EXPORT_FORMATS.index(fmt)]
+    # the table's generate rows, under the ids they had before tests/test_pins.py held them
+    @pin_rows("generate", lambda argv: "".join(argv[2:-2]) + "-" + argv[-1])
+    def test_byte_pins(self, capsys, argv, code, kind, expected):
+        check_pin(capsys, argv, code, kind, expected)
 
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -115,18 +85,6 @@ class TestGenerate:
 
 
 class TestCount:
-    @pytest.mark.parametrize(
-        "argv,expected",
-        [
-            (["count", "--family", "cycle", "--n", "5", "--method", "eliminate"], "11\n"),
-            (["count", "--family", "broken", "--n", "1", "--a", "2", "--b", "1", "--method", "closed-form"], "5\n"),
-            (["count", "--family", "path", "--n", "0", "--method", "brute"], "1\n"),
-        ],
-    )
-    def test_frozen_examples(self, capsys, argv, expected):
-        rc, out, _ = run_cli(capsys, *argv)
-        assert (rc, out) == (0, expected)
-
     def test_methods_agree(self, capsys):
         outputs = set()
         for method in ("brute", "eliminate", "closed-form"):
@@ -345,22 +303,10 @@ class TestPoly:
             monkeypatch.setattr(f"chainsaw.counting.{route}", refuse)
         assert run_cli(capsys, "poly", *argv) == expected
 
-    # the poly lines of the CI workflow: sha256 of stdout, or stdout itself
-    PINS = [
-        (("broken", "419", "5", "3"), "03c3fda2e2d5b4755940be134a7c74cb63eab67cd4003e334a0bb033549061f3"),
-        (("chainsaw", "400", "4", "3"), "df371d4cc2b2b4f8a6da875a8567abcfb6bc0049d0b746c1d9c45327d4ed17ea"),
-        (("chainsaw", "401", "2", "1"), "3ee7bbe59ba5713eefb67a87c6d9442e5d37d376e554c83cef70b5d50d032486"),
-        (("broken", "420", "5", "3"), "e596454e800316b36bdbbc67b21154546328887118ffd9b9b48f4f1a8cf83b17"),
-        (("broken", "5", "3", "2"), "[1, 17, 111, 357, 601, 507, 169]\n"),
-        (("chainsaw", "4", "1", "1"), "[1, 4, 2]\n"),
-    ]
-
-    @pytest.mark.parametrize("shape,pin", PINS, ids=[f"{f}-{n}-{a}-{b}" for (f, n, a, b), _ in PINS])
-    def test_byte_pins(self, capsys, shape, pin):
-        family, n, a, b = shape
-        rc, out, err = run_cli(capsys, "poly", "--family", family, "--n", n, "--a", a, "--b", b)
-        assert (rc, err) == (0, "")
-        assert pin in (out, hashlib.sha256(out.encode()).hexdigest())
+    # the table's poly rows, under the ids they had before tests/test_pins.py held them
+    @pin_rows("poly", lambda argv: "-".join(argv[2::2]))
+    def test_byte_pins(self, capsys, argv, code, kind, expected):
+        check_pin(capsys, argv, code, kind, expected)
 
 
 class TestFamilySurface:
@@ -699,6 +645,21 @@ class TestVerify:
         # the sweep itself still ran and passed
         assert report["summary"]["total"] > 1
 
+    def test_spider_reaches_the_injected_row(self, capsys, tmp_path):
+        # 8 legs of 40 vertices on a centre, through elimination's branching: the injected row's left
+        # is F_42^8 + F_41^8, and the declared P(1, 1, 1), whose count is U_3(1, -1) = 2, fails it
+        edges = [(0, 1 + 40 * k) for k in range(8)] + [(v, v + 1) for v in range(1, 321) if v % 40]
+        path = tmp_path / "spider.json"
+        path.write_text(export_graph(Graph.build(321, edges), "json"), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "verify", "--n-max", "1", "--a-max", "1", "--inject-graph", str(path),
+                               "--inject-family", "broken", "--inject-n", "1", "--inject-a", "1", "--inject-b", "1")
+        f41, f42 = 0, 1
+        for _ in range(41):
+            f41, f42 = f42, f41 + f42
+        row = json.loads(out)["checks"][-1]
+        assert (rc, err, row["identity"].split()[0]) == (1, "", "injected")
+        assert (row["left"], row["right"], row["pass"]) == (str(f42 ** 8 + f41 ** 8), "2", False)
+
     def test_missing_injection_file_exits_2(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "verify", "--n-max", "1", "--a-max", "1",
@@ -1004,7 +965,7 @@ class TestDispatch:
 
 
 class TestBench:
-    """What the removed `bench` subcommand checked, asked of `count`, `seq` and the parser."""
+    """What the removed `bench` subcommand refused; what it compared is rows of tests/test_pins.py."""
 
     def test_bench_is_no_longer_a_subcommand(self, capsys):
         # engine timing lives in perfbench, method agreement in count --method and verify
@@ -1012,18 +973,6 @@ class TestBench:
                                    "--methods", "brute", "eliminate")
         assert (rc, out) == (2, "")
         assert "invalid choice" in err and "bench" in err
-
-    def test_graph_bench_compares_engines(self, capsys):
-        for method in ("brute", "eliminate", "closed-form"):
-            assert run_cli(capsys, "count", "--family", "cycle", "--n", "12", "--method", method) == (0, "322\n", "")
-
-    def test_seq_bench_has_a_checkpoint(self, capsys):
-        for n in (2000, 1000):
-            outputs = {
-                run_cli(capsys, "seq", "--kind", "V", "--n", str(n), "--p", "1", "--q", "-1", "--method", method)
-                for method in ("recurrence", "matrix")
-            }
-            assert outputs == {(0, f"{lucas_V(n, 1, -1)}\n", "")}
 
     def test_seq_bench_requires_sequence_options(self, capsys):
         rc, out, err = usage_error(capsys, "seq", "--n", "10", "--p", "1", "--q", "1", "--method", "matrix")

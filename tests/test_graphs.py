@@ -451,7 +451,7 @@ class TestGraphValidation:
         adjacency, loops, roles = [{1}, {0}], set(), [CHAIN, CHAIN]
         g = Graph(2, adjacency, loops, roles)
         built = Graph.build(2, [(0, 1)])
-        assert g == built and hash(g) == hash(built)
+        assert g == built and hash(g) == hash(built) and pickle.loads(pickle.dumps(g)) == built
         assert (type(g.adjacency), type(g.loops), type(g.roles)) == (tuple, frozenset, tuple)
         for container in (*adjacency, adjacency, roles):
             container.clear()

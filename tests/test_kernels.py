@@ -106,6 +106,7 @@ def test_no_mask_width_limit():
     params = ChainsawParams(13, 4, 2)
     assert family_graph(params, "chainsaw").order == 52
     assert brute_force_strata(family_graph(params, "chainsaw"), cap=52) == stratified_closed_form(params, "chainsaw")
+    assert count_brute_force(family_graph(params, "chainsaw"), cap=52) == lucas_V(13, 4, -2)
 
 
 def test_edgeless_graph_fills_every_stratum():
